@@ -1,22 +1,10 @@
-"""Calibrate machine-local kernel thresholds and print an ``EngineConfig``.
+"""Calibrate the machine-local backend threshold and print an ``EngineConfig``.
 
-The two data-dependent switch points of the partition kernel are knobs, not
-constants, because their crossover depends on the host (cache sizes, numpy
-build, CPU):
-
-* ``backend_min_numpy_rows`` — below how many rows the pure-python backend
-  beats the numpy backend (per-call dispatch overhead dominates tiny
-  inputs).  Measured by timing a full encode + pairwise-intersect pass on
-  the same relation under each backend across a row-count sweep.
-* ``counting_sort_max_codes`` — up to which key-space bound the
-  counting-sort grouping path (``uint16`` radix) beats the composite
-  introsort.  Measured by timing ``NumpyBackend._stable_order`` with the
-  counting path forced on vs off across a key-space sweep.
-* ``shard_min_rows`` — above how many rows the row-sharded grouping path
-  (thread-pooled per-shard sorts + merge) beats the sequential one.
-  Measured by timing ``shard_group`` forced-sharded vs sequential across a
-  row-count sweep; on a single-core host the sharded path never wins and
-  the default stays.
+``backend_min_numpy_rows`` is a knob, not a constant, because its crossover
+depends on the host (cache sizes, numpy build, CPU): below how many rows the
+pure-python backend beats the numpy backend (per-call dispatch overhead
+dominates tiny inputs).  Measured by timing a full encode + pairwise-intersect
+pass on the same relation under each backend across a row-count sweep.
 
 The output is a ready-to-paste recommendation::
 
@@ -24,13 +12,12 @@ The output is a ready-to-paste recommendation::
     PYTHONPATH=src python benchmarks/bench_calibration.py \
         --output calibration.json --repeats 9
 
-On a machine without numpy both sweeps are moot — the script says so and
-exits cleanly (the python backend is the only choice, and the counting-sort
-knob only steers numpy code).
+On a machine without numpy the sweep is moot — the script says so and exits
+cleanly (the python backend is the only choice).
 
-Results are advisory: the defaults (``backend_min_numpy_rows=0``,
-``counting_sort_max_codes=65536``) are already right for typical hosts; run
-this when deploying on unusual hardware or after a numpy upgrade.
+Results are advisory: the default (``backend_min_numpy_rows=0``) is already
+right for typical hosts; run this when deploying on unusual hardware or after
+a numpy upgrade.
 """
 
 from __future__ import annotations
@@ -45,32 +32,13 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.config import (  # noqa: E402
-    DEFAULT_SHARD_MIN_ROWS,
-    ENV_BACKEND_MIN_NUMPY_ROWS,
-    ENV_COUNTING_SORT_MAX_CODES,
-    ENV_SHARD_MIN_ROWS,
-)
+from repro.config import ENV_BACKEND_MIN_NUMPY_ROWS  # noqa: E402
 from repro.session import Session  # noqa: E402
 
 from bench_partition_kernel import COLUMN_SPECS, build_relation  # noqa: E402
 
 #: Row counts swept for the python-vs-numpy crossover.
 BACKEND_ROW_SWEEP = (100, 250, 500, 1_000, 2_000, 4_000)
-
-#: Key-space bounds swept for the counting-sort-vs-introsort crossover
-#: (``counting_sort_max_codes`` is capped at 65536 = the uint16 space).
-KEY_SPACE_SWEEP = (64, 256, 1_024, 4_096, 16_384, 65_536)
-
-#: Rows used for the sort sweep — large enough that sorting dominates.
-SORT_SWEEP_ROWS = 50_000
-
-#: Row counts swept for the sharded-vs-sequential grouping crossover.
-SHARD_ROW_SWEEP = (10_000, 25_000, 50_000, 100_000, 200_000)
-
-#: Key space of the shard sweep's synthetic code array (dense codes, the
-#: regime ``shard_group`` sees from ``from_columns``).
-SHARD_SWEEP_CODES = 1_024
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -122,81 +90,6 @@ def calibrate_backend_min_rows(repeats: int) -> dict:
     return {"sweep": rows, "recommended": recommended}
 
 
-def calibrate_counting_sort(repeats: int) -> dict:
-    """Sweep key-space bounds; recommend the largest bound where counting wins."""
-    import numpy as np
-
-    from repro.relational.backend import NumpyBackend
-
-    rng = np.random.default_rng(7)
-    rows = []
-    recommended = 0
-    for bound in KEY_SPACE_SWEEP:
-        keys = rng.integers(0, bound, SORT_SWEEP_ROWS).astype(np.int64)
-        counting_s = _best_of(repeats, lambda: NumpyBackend._stable_order(keys, bound, bound))
-        introsort_s = _best_of(repeats, lambda: NumpyBackend._stable_order(keys, bound, 0))
-        winner = "counting" if counting_s <= introsort_s else "introsort"
-        rows.append(
-            {
-                "key_space": bound,
-                "counting_s": round(counting_s, 6),
-                "introsort_s": round(introsort_s, 6),
-                "winner": winner,
-            }
-        )
-        if winner == "counting":
-            recommended = bound
-    return {"sweep": rows, "recommended": recommended}
-
-
-def calibrate_shard_min_rows(repeats: int) -> dict:
-    """Sweep row counts; recommend the smallest n where sharding wins.
-
-    If the sharded path never wins (the single-core case: thread dispatch
-    is pure overhead), the recommendation is the stock default with a
-    ``never_won`` note instead of an absurdly high cutoff.
-    """
-    import os
-
-    import numpy as np
-
-    from repro.relational.backend import get_backend
-
-    rng = np.random.default_rng(7)
-    n_shards = os.cpu_count() or 1
-    rows = []
-    crossover = None
-    for n_rows in SHARD_ROW_SWEEP:
-        codes = rng.integers(0, SHARD_SWEEP_CODES, n_rows).astype(np.int64)
-        with Session(backend="numpy", shard_count=1):
-            backend = get_backend(n_rows)
-            sequential_s = _best_of(
-                repeats, lambda: backend.group_by_codes(codes, SHARD_SWEEP_CODES)
-            )
-        with Session(backend="numpy", shard_count=max(2, n_shards), shard_min_rows=0):
-            backend = get_backend(n_rows)
-            sharded_s = _best_of(repeats, lambda: backend.shard_group(codes, SHARD_SWEEP_CODES))
-        winner = "sharded" if sharded_s <= sequential_s else "sequential"
-        rows.append(
-            {
-                "n_rows": n_rows,
-                "sequential_s": round(sequential_s, 6),
-                "sharded_s": round(sharded_s, 6),
-                "winner": winner,
-            }
-        )
-        if winner == "sharded" and crossover is None:
-            crossover = n_rows
-    if crossover is None:
-        return {
-            "sweep": rows,
-            "recommended": DEFAULT_SHARD_MIN_ROWS,
-            "never_won": True,
-            "n_shards": n_shards,
-        }
-    return {"sweep": rows, "recommended": crossover, "never_won": False, "n_shards": n_shards}
-
-
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5)
@@ -210,7 +103,7 @@ def main(argv: list[str] | None = None) -> None:
     except ImportError:
         print(
             "[bench_calibration] numpy is not importable: the python backend "
-            "is the only option, and both thresholds only steer numpy code.\n"
+            "is the only option, and the threshold only steers numpy code.\n"
             "Nothing to calibrate."
         )
         return
@@ -225,59 +118,17 @@ def main(argv: list[str] | None = None) -> None:
             f"  numpy={row['numpy_s'] * 1e3:8.2f} ms  -> {row['winner']}"
         )
 
-    sort_cal = calibrate_counting_sort(args.repeats)
-    print(f"\nsort-path crossover ({SORT_SWEEP_ROWS} rows):")
-    for row in sort_cal["sweep"]:
-        print(
-            f"  key_space={row['key_space']:>6}"
-            f"  counting={row['counting_s'] * 1e3:8.2f} ms"
-            f"  introsort={row['introsort_s'] * 1e3:8.2f} ms  -> {row['winner']}"
-        )
-
-    shard_cal = calibrate_shard_min_rows(args.repeats)
-    print(f"\nsharded grouping crossover ({shard_cal['n_shards']} shard(s)):")
-    for row in shard_cal["sweep"]:
-        print(
-            f"  rows={row['n_rows']:>7}"
-            f"  sequential={row['sequential_s'] * 1e3:8.2f} ms"
-            f"  sharded={row['sharded_s'] * 1e3:8.2f} ms  -> {row['winner']}"
-        )
-    if shard_cal["never_won"]:
-        print(
-            "  (sharding never won on this host — keeping the stock "
-            f"shard_min_rows={DEFAULT_SHARD_MIN_ROWS})"
-        )
-
     min_rows = backend_cal["recommended"]
-    max_codes = sort_cal["recommended"]
-    shard_min_rows = shard_cal["recommended"]
     print("\nrecommended EngineConfig for this machine:")
-    print(
-        "  EngineConfig(\n"
-        f"      backend_min_numpy_rows={min_rows},\n"
-        f"      counting_sort_max_codes={max_codes},\n"
-        f"      shard_min_rows={shard_min_rows},\n"
-        "  )"
-    )
+    print(f"  EngineConfig(backend_min_numpy_rows={min_rows})")
     print("or via environment:")
     print(f"  export {ENV_BACKEND_MIN_NUMPY_ROWS}={min_rows}")
-    print(f"  export {ENV_COUNTING_SORT_MAX_CODES}={max_codes}")
-    print(f"  export {ENV_SHARD_MIN_ROWS}={shard_min_rows}")
 
     if args.output:
         Path(args.output).write_text(
-            json.dumps(
-                {
-                    "backend_min_numpy_rows": backend_cal,
-                    "counting_sort_max_codes": sort_cal,
-                    "shard_min_rows": shard_cal,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
+            json.dumps({"backend_min_numpy_rows": backend_cal}, indent=2, sort_keys=True) + "\n"
         )
-        print(f"\nraw sweeps written to {args.output}")
+        print(f"\nraw sweep written to {args.output}")
 
 
 if __name__ == "__main__":

@@ -53,11 +53,9 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 import weakref
 from array import array
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
@@ -66,7 +64,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from ..config import (
     DEFAULT_MARKS_CACHE_BYTES,
     ENV_BACKEND,
-    ENV_COMBINED_CACHE_ENTRIES,
     ENV_MARKS_CACHE_BYTES,
     EngineConfig,
 )
@@ -88,9 +85,6 @@ MARKS_BUDGET_ENV_VAR = ENV_MARKS_CACHE_BYTES
 #: Default mark-table budget: sixteen ~1M-row tables at 8 bytes per row.
 DEFAULT_MARKS_BUDGET_BYTES = DEFAULT_MARKS_CACHE_BYTES
 
-#: Environment variable overriding the combined-codes prefix cache size.
-COMBINED_CACHE_ENV_VAR = ENV_COMBINED_CACHE_ENTRIES
-
 
 # ---------------------------------------------------------------------------
 # State-scoped kernel counters (snapshotted into DiscoveryStats.extra).
@@ -104,9 +98,9 @@ class KernelCounters:
     Each :class:`EngineState` (and therefore each
     :class:`~repro.session.Session`) owns one instance, incremented by all
     :class:`MarkTableCache` and ``PartitionCache`` instances and by the
-    per-relation combined-codes prefix caches running under that state, so a
-    snapshot/delta pair brackets exactly the kernel work of one discovery
-    run and two concurrent sessions never pollute each other's numbers.
+    numpy sort paths running under that state, so a snapshot/delta pair
+    brackets exactly the kernel work of one discovery run and two
+    concurrent sessions never pollute each other's numbers.
     :data:`KERNEL_COUNTERS` is the default state's instance.
     """
 
@@ -118,20 +112,10 @@ class KernelCounters:
     partition_misses: int = 0
     partition_evictions: int = 0
     partition_evicted_positions: int = 0
-    combined_prefix_hits: int = 0
-    combined_prefix_misses: int = 0
-    combined_prefix_evictions: int = 0
     batched_levels: int = 0
     batched_candidates: int = 0
     counting_sorts: int = 0
     introsorts: int = 0
-    sharded_groupings: int = 0
-
-    def __post_init__(self) -> None:
-        #: Per-shard sort seconds of the most recent sharded grouping (not a
-        #: counter field: a volatile trace, excluded from snapshot()/delta()
-        #: and surfaced explicitly by ``kernel_stats()``).
-        self.last_shard_timings: list[float] = []
 
     def snapshot(self) -> dict[str, int]:
         """The current counter values as a plain dictionary."""
@@ -175,8 +159,7 @@ class PartitionBackend:
 
         Delegates to the relation's cached per-column encodings and the
         backend's :meth:`combine_codes` fold (via
-        :meth:`Relation.combined_column_codes`, which also caches hot
-        prefixes).
+        :meth:`Relation.combined_column_codes`).
         """
         if len(attributes) == 1:
             codes, n_codes = relation.column_codes(attributes[0])
@@ -198,7 +181,7 @@ class PartitionBackend:
         Returns ``(codes, width)`` where equal ``(combined, nxt)`` pairs
         receive equal dense codes assigned in first-appearance order (the
         invariant that keeps both backends bit-compatible).  Never mutates
-        ``combined`` (results are shared through the prefix cache).
+        ``combined``.
         """
         raise NotImplementedError
 
@@ -211,20 +194,6 @@ class PartitionBackend:
         precomputed hint.
         """
         raise NotImplementedError
-
-    def shard_group(self, codes, n_codes: int, counts: Sequence[int] | None = None):
-        """Row-sharded :meth:`group_by_codes` (same contract, same bytes).
-
-        Partition construction goes through this entry point so backends may
-        split the code array into row ranges, group each shard concurrently
-        and merge the shard-local groups back into global first-appearance
-        order.  The base implementation is the sequential fallback — one
-        straight :meth:`group_by_codes` call — which is also what sharded
-        implementations must be byte-identical to.  The active engine
-        state's ``shard_count``/``shard_min_rows`` knobs steer whether a
-        backend actually shards; the knobs never change artefacts.
-        """
-        return self.group_by_codes(codes, n_codes, counts)
 
     def build_marks(self, positions, offsets, n_rows: int):
         """Row position -> group id (or ``-1``) mark table of a partition."""
@@ -419,32 +388,9 @@ class PythonBackend(PartitionBackend):
 
 
 #: Exclusive upper bound of the key space the counting-sort grouping path can
-#: represent: the path narrows keys to ``uint16`` before sorting, so any
-#: configured ``counting_sort_max_codes`` above this is clamped back to it.
+#: represent: the path narrows keys to ``uint16`` before sorting.  Larger key
+#: spaces take the composite introsort.
 COUNTING_SORT_SPACE = 1 << 16
-
-#: Shared worker pool of the sharded grouping path (numpy releases the GIL
-#: inside its sort/bincount kernels, so threads scale across cores).  One
-#: process-wide pool sized to the host: shard tasks are short and pure, so
-#: sessions sharing workers only queue behind each other, never interleave
-#: state.  Built lazily — a process that never shards never spawns threads.
-_SHARD_POOL: ThreadPoolExecutor | None = None
-
-_SHARD_POOL_LOCK = threading.Lock()
-
-
-def _shard_pool() -> ThreadPoolExecutor:
-    global _SHARD_POOL
-    pool = _SHARD_POOL
-    if pool is None:
-        with _SHARD_POOL_LOCK:
-            pool = _SHARD_POOL
-            if pool is None:
-                pool = _SHARD_POOL = ThreadPoolExecutor(
-                    max_workers=os.cpu_count() or 1,
-                    thread_name_prefix="repro-shard",
-                )
-    return pool
 
 
 class NumpyBackend(PartitionBackend):
@@ -462,19 +408,6 @@ class NumpyBackend(PartitionBackend):
         if _np is None:  # pragma: no cover - guarded by the resolver
             raise RuntimeError("numpy is not importable; use the python backend")
 
-    @staticmethod
-    def _sort_params() -> tuple[int, "KernelCounters"]:
-        """The active state's ``(counting-sort bound, counters)`` pair.
-
-        Resolved once per public backend call (backends are stateless
-        module singletons, so per-session knobs live on the engine state):
-        key spaces up to the bound take the counting-sort path, larger ones
-        the composite introsort.  Both orders are identical, so the knob
-        only moves time around.
-        """
-        state = active_state()
-        return min(state.config.counting_sort_max_codes, COUNTING_SORT_SPACE), state.counters
-
     # -- representation helpers ----------------------------------------------
     @staticmethod
     def _as_array(values):
@@ -486,14 +419,14 @@ class NumpyBackend(PartitionBackend):
         return _np.asarray(values, dtype=_np.int64)
 
     @staticmethod
-    def _stable_order(keys, bound: int, counting_limit: int = 0, counters=None):
+    def _stable_order(keys, bound: int):
         """Indices sorting the non-negative ``keys`` stably (ties by position).
 
         ``bound`` is an exclusive upper bound on the key values; the stable
         order of a key array is unique, so every path below returns the
         identical permutation — selection only moves time around:
 
-        * ``bound <= counting_limit`` (≤ 65536): narrow the keys to
+        * ``bound <= COUNTING_SORT_SPACE`` (65536): narrow the keys to
           ``uint16`` and take numpy's stable argsort, which for 16-bit keys
           *is* a C-level counting sort (per-byte ``bincount`` counts +
           prefix-sum offsets + scatter) — ``O(n + k)`` and measured 2–4×
@@ -507,12 +440,11 @@ class NumpyBackend(PartitionBackend):
         n = keys.shape[0]
         if n == 0:
             return _np.empty(0, dtype=_np.int64)
-        if 0 < bound <= counting_limit:
-            if counters is not None:
-                counters.counting_sorts += 1
+        counters = kernel_counters()
+        if 0 < bound <= COUNTING_SORT_SPACE:
+            counters.counting_sorts += 1
             return keys.astype(_np.uint16).argsort(kind="stable")
-        if counters is not None:
-            counters.introsorts += 1
+        counters.introsorts += 1
         if bound < (2**62) // (n + 1):
             composite = keys * _np.int64(n) + _np.arange(n, dtype=_np.int64)
             return composite.argsort()
@@ -528,7 +460,7 @@ class NumpyBackend(PartitionBackend):
         return _np.flatnonzero(boundary)
 
     @classmethod
-    def _factorize_first_appearance(cls, keys, bound: int, counting_limit: int = 0, counters=None):
+    def _factorize_first_appearance(cls, keys, bound: int):
         """Dense codes of ``keys`` assigned in first-appearance order.
 
         Matches the python dict-``setdefault`` fold bit for bit: the first
@@ -537,7 +469,7 @@ class NumpyBackend(PartitionBackend):
         n = keys.shape[0]
         if n == 0:
             return keys.copy(), 0
-        perm = cls._stable_order(keys, bound, counting_limit, counters)
+        perm = cls._stable_order(keys, bound)
         starts = cls._run_starts(keys[perm])
         # Stable order ⇒ the first element of each run carries the smallest
         # original index, i.e. the key's first appearance.  First-occurrence
@@ -567,10 +499,7 @@ class NumpyBackend(PartitionBackend):
 
     def combine_codes(self, combined, width, nxt, radix):
         keys = self._as_array(combined) * _np.int64(radix) + self._as_array(nxt)
-        counting_limit, counters = self._sort_params()
-        return self._factorize_first_appearance(
-            keys, max(width, 1) * max(radix, 1), counting_limit, counters
-        )
+        return self._factorize_first_appearance(keys, max(width, 1) * max(radix, 1))
 
     def group_by_codes(self, codes, n_codes, counts=None):
         codes = self._as_array(codes)
@@ -582,8 +511,7 @@ class NumpyBackend(PartitionBackend):
             counts = _np.bincount(codes, minlength=n_codes)
         else:
             counts = _np.zeros(n_codes, dtype=_np.int64)
-        counting_limit, counters = self._sort_params()
-        order = self._stable_order(codes, max(n_codes, 1), counting_limit, counters)
+        order = self._stable_order(codes, max(n_codes, 1))
         keep_group = counts > 1
         positions = order[keep_group[codes[order]]]
         sizes = counts[keep_group]
@@ -591,118 +519,6 @@ class NumpyBackend(PartitionBackend):
             (_np.zeros(1, dtype=_np.int64), _np.cumsum(sizes, dtype=_np.int64))
         )
         return positions, offsets
-
-    def shard_group(self, codes, n_codes, counts=None):
-        """Row-sharded grouping: split, sort shards in parallel, merge.
-
-        Engages only when the active configuration admits it
-        (``shard_count`` resolves above one and the input reaches
-        ``shard_min_rows``); everything else falls through to the sequential
-        :meth:`group_by_codes`.  The sharded result is byte-identical by
-        construction — see :meth:`_sharded_group`.
-        """
-        codes = self._as_array(codes)
-        config = active_state().config
-        n_shards = config.shard_count if config.shard_count > 0 else (os.cpu_count() or 1)
-        if n_shards <= 1 or codes.shape[0] == 0 or codes.shape[0] < config.shard_min_rows:
-            return self.group_by_codes(codes, n_codes, counts)
-        return self._sharded_group(codes, n_codes, counts, n_shards)
-
-    def _sharded_group(self, codes, n_codes, counts, n_shards):
-        """Parallel grouping over ``n_shards`` contiguous row ranges.
-
-        Byte-identity argument: ``codes`` are globally dense
-        first-appearance encodings, so the sequential grouping emits groups
-        in ascending code order with positions ascending inside each group.
-        Each shard covers a contiguous, increasing row range; stably sorting
-        a shard orders its rows of code ``c`` ascending, and laying shard
-        0's rows of ``c`` before shard 1's (the ``shard_base`` offsets)
-        therefore reproduces the globally ascending position order.  Group
-        membership (the singleton strip) uses the **global** per-code counts
-        — two cross-shard singletons still form a real group — and the
-        offsets come from the same counts, so both output arrays match the
-        sequential path element for element.
-        """
-        n = codes.shape[0]
-        bound = max(n_codes, 1)
-        counting_limit, counters = self._sort_params()
-        base, extra = divmod(n, n_shards)
-        edges = [0]
-        for shard in range(n_shards):
-            edges.append(edges[-1] + base + (1 if shard < extra else 0))
-
-        def shard_task(lo, hi):
-            # Runs on the pool: no counter writes, no engine-state reads.
-            started = time.perf_counter()
-            chunk = codes[lo:hi]
-            if chunk.size:
-                local_counts = _np.bincount(chunk, minlength=n_codes)
-            else:
-                local_counts = _np.zeros(n_codes, dtype=_np.int64)
-            order = self._stable_order(chunk, bound, counting_limit, None)
-            return chunk, local_counts, order, time.perf_counter() - started
-
-        pool = _shard_pool()
-        shards = [
-            future.result()
-            for future in [
-                pool.submit(shard_task, edges[s], edges[s + 1]) for s in range(n_shards)
-            ]
-        ]
-        counts_matrix = _np.stack([local_counts for _, local_counts, _, _ in shards])
-        if counts is not None:
-            global_counts = self._as_array(counts)
-        else:
-            global_counts = counts_matrix.sum(axis=0)
-        keep = global_counts > 1
-        out_offsets = _np.concatenate(
-            (
-                _np.zeros(1, dtype=_np.int64),
-                _np.cumsum(global_counts[keep], dtype=_np.int64),
-            )
-        )
-        # The shard threads sorted with counters=None (counters are not
-        # thread-safe); account their sorts once here — every non-empty
-        # shard ran one stable sort on the path the bound selects.
-        sorted_shards = sum(1 for chunk, _, _, _ in shards if chunk.size)
-        if 0 < bound <= counting_limit:
-            counters.counting_sorts += sorted_shards
-        else:
-            counters.introsorts += sorted_shards
-        counters.sharded_groupings += 1
-        counters.last_shard_timings = [seconds for _, _, _, seconds in shards]
-        total = int(out_offsets[-1])
-        out_positions = _np.empty(total, dtype=_np.int64)
-        if total:
-            # Scatter geometry: code c's output run starts at run_start[c];
-            # within the run, shard s's block starts after the rows the
-            # earlier shards contribute to c (exclusive cumsum over shards).
-            run_start = _np.zeros(bound, dtype=_np.int64)
-            run_start[keep] = out_offsets[:-1]
-            shard_base = _np.cumsum(counts_matrix, axis=0) - counts_matrix
-
-            def scatter_task(s, lo):
-                chunk, _, order, _ = shards[s]
-                if chunk.size == 0:
-                    return
-                kept_local = order[keep[chunk[order]]]
-                if kept_local.size == 0:
-                    return
-                kept_codes = chunk[kept_local]
-                starts = self._run_starts(kept_codes)
-                run_sizes = _np.diff(_np.append(starts, kept_codes.size))
-                within = _np.arange(kept_codes.size, dtype=_np.int64) - _np.repeat(
-                    starts, run_sizes
-                )
-                dest = run_start[kept_codes] + shard_base[s][kept_codes] + within
-                # Shards write disjoint destination blocks: thread-safe.
-                out_positions[dest] = kept_local + lo
-
-            for future in [
-                pool.submit(scatter_task, s, edges[s]) for s in range(n_shards)
-            ]:
-                future.result()
-        return out_positions, out_offsets
 
     def build_marks(self, positions, offsets, n_rows):
         positions = self._as_array(positions)
@@ -737,10 +553,7 @@ class NumpyBackend(PartitionBackend):
         empty = (_np.empty(0, dtype=_np.int64), _np.zeros(1, dtype=_np.int64))
         if keys.size == 0:
             return empty
-        counting_limit, counters = self._sort_params()
-        perm = self._stable_order(
-            keys, int(sizes.shape[0]) * int(radix), counting_limit, counters
-        )
+        perm = self._stable_order(keys, int(sizes.shape[0]) * int(radix))
         starts = self._run_starts(keys[perm])
         counts = _np.empty(starts.shape[0], dtype=_np.int64)
         counts[:-1] = starts[1:] - starts[:-1]
@@ -1033,21 +846,17 @@ class _RelationKernelCaches:
     """The kernel caches one engine state holds for one relation.
 
     Owned by the state (not the relation), so two concurrent sessions
-    working on the same relation never share mark tables, prefix folds or
-    cache counters.  Entries are dropped automatically when the relation is
+    working on the same relation never share mark tables or cache
+    counters.  Entries are dropped automatically when the relation is
     garbage collected.
     """
 
-    __slots__ = ("relation_ref", "marks", "combined", "partitions", "__weakref__")
+    __slots__ = ("relation_ref", "marks", "partitions", "__weakref__")
 
     def __init__(self, relation: "Relation", config: EngineConfig) -> None:
         self.relation_ref = weakref.ref(relation)
         #: Byte-budgeted row -> group-id mark tables of the relation.
         self.marks = MarkTableCache(config.marks_cache_bytes)
-        #: Bounded LRU of hot combined-codes prefixes (tagged by backend name).
-        self.combined: "OrderedDict[tuple[str, ...], tuple[object, int, str]]" = (
-            OrderedDict()
-        )
         #: Lazily attached ``PartitionCache`` (set by ``Session.partition_cache``;
         #: lives here so its lifecycle matches the other relation caches).
         self.partitions = None
@@ -1127,7 +936,6 @@ class EngineState:
         counters = self.counters
         for field in fields(counters):
             setattr(counters, field.name, 0)
-        counters.last_shard_timings = []
 
     def drop_caches(self) -> None:
         """Release every relation-scoped cache held by the state."""
@@ -1370,9 +1178,10 @@ def kernel_stats_summary(state: EngineState | None = None) -> dict[str, object]:
     return {
         "backend": state.backend_for().name,
         **state.counters.snapshot(),
-        "shard_timings": [
-            round(seconds, 6) for seconds in state.counters.last_shard_timings
-        ],
+        # perfbench/layers.py reads these by name; their kernel paths are gone.
+        "sharded_groupings": 0,
+        "combined_prefix_hits": 0,
+        "combined_prefix_misses": 0,
     }
 
 
@@ -1393,12 +1202,6 @@ def render_kernel_stats(state: EngineState | None = None) -> str:
         f"evicted_positions={summary['partition_evicted_positions']}"
     )
     lines.append(
-        "[kernel] combined-codes prefixes: "
-        f"hits={summary['combined_prefix_hits']} "
-        f"misses={summary['combined_prefix_misses']} "
-        f"evictions={summary['combined_prefix_evictions']}"
-    )
-    lines.append(
         "[kernel] batched validation: "
         f"levels={summary['batched_levels']} "
         f"candidates={summary['batched_candidates']}"
@@ -1407,12 +1210,5 @@ def render_kernel_stats(state: EngineState | None = None) -> str:
         "[kernel] sort paths: "
         f"counting={summary['counting_sorts']} "
         f"introsort={summary['introsorts']}"
-    )
-    timings = summary["shard_timings"]
-    lines.append(
-        "[kernel] sharded grouping: "
-        f"runs={summary['sharded_groupings']} "
-        f"last_shards={len(timings)} "
-        f"last_shard_seconds={timings}"
     )
     return "\n".join(lines)

@@ -135,15 +135,9 @@ class StrippedPartition:
     # -- construction ---------------------------------------------------------
     @classmethod
     def from_column(cls, relation: Relation, attribute: str) -> "StrippedPartition":
-        """Build the stripped partition of a single attribute.
-
-        Grouping goes through the backend's ``shard_group`` entry point:
-        large inputs may be grouped shard-parallel under the active engine
-        configuration (``shard_count``/``shard_min_rows``), with bytes
-        identical to the sequential path either way.
-        """
+        """Build the stripped partition of a single attribute."""
         codes, n_codes, counts = relation._encode_column(attribute)
-        positions, offsets = get_backend(len(relation)).shard_group(codes, n_codes, counts)
+        positions, offsets = get_backend(len(relation)).group_by_codes(codes, n_codes, counts)
         return cls._from_flat(positions, offsets, len(relation), relation.mark_cache)
 
     @classmethod
@@ -158,7 +152,7 @@ class StrippedPartition:
             return cls.from_column(relation, attributes[0])
         backend = get_backend(len(relation))
         codes, n_codes = backend.encode_columns(relation, attributes)
-        positions, offsets = backend.shard_group(codes, n_codes)
+        positions, offsets = backend.group_by_codes(codes, n_codes)
         return cls._from_flat(positions, offsets, len(relation), relation.mark_cache)
 
     # -- views ----------------------------------------------------------------
@@ -540,10 +534,7 @@ def validate_level(
     column into shared gathers, so TANE/FUN/ApproximateTANE pay dispatch
     overhead per level rather than per candidate or per LHS.  The python
     backend keeps its early-exit scan per candidate.  Verdicts come back in
-    input order and are bit-identical across backends — and identical again
-    when batching is disabled through the active engine configuration
-    (``EngineConfig.batch_validation`` / ``batch_min_candidates``), which
-    replays the scalar per-candidate loop.
+    input order and are bit-identical across backends.
     """
     if not candidates:
         return []
@@ -551,19 +542,10 @@ def validate_level(
     if not len(relation):
         # Every FD holds vacuously on an empty instance.
         return results
-    state = active_state()
     backend = get_backend(len(relation))
-    if not _should_batch(state, len(candidates)):
-        for index, (partition, rhs) in enumerate(candidates):
-            if len(partition.positions) == 0:
-                continue  # a superkey LHS validates every RHS
-            codes, _ = relation.column_codes(rhs)
-            results[index] = backend.constant_within_groups(
-                partition.positions, partition.offsets, codes
-            )
-        return results
-    state.counters.batched_levels += 1
-    state.counters.batched_candidates += len(candidates)
+    counters = kernel_counters()
+    counters.batched_levels += 1
+    counters.batched_candidates += len(candidates)
     level_groups, slots = _level_groups(relation, candidates)
     for indices, verdicts in zip(slots, backend.validate_level_groups(level_groups)):
         for index, verdict in zip(indices, verdicts):
@@ -587,29 +569,15 @@ def validate_level_errors(
     errors = [0.0] * len(candidates)
     if not n_rows:
         return errors
-    state = active_state()
     backend = get_backend(n_rows)
-    if not _should_batch(state, len(candidates)):
-        for index, (partition, rhs) in enumerate(candidates):
-            if len(partition.positions) == 0:
-                continue  # a superkey LHS violates nothing
-            codes, _ = relation.column_codes(rhs)
-            removed = backend.g3_removals(partition.positions, partition.offsets, codes)
-            errors[index] = removed / n_rows
-        return errors
-    state.counters.batched_levels += 1
-    state.counters.batched_candidates += len(candidates)
+    counters = kernel_counters()
+    counters.batched_levels += 1
+    counters.batched_candidates += len(candidates)
     level_groups, slots = _level_groups(relation, candidates)
     for indices, removals in zip(slots, backend.validate_level_error_groups(level_groups)):
         for index, removed in zip(indices, removals):
             errors[index] = removed / n_rows
     return errors
-
-
-def _should_batch(state, n_candidates: int) -> bool:
-    """Whether the active configuration admits batching this candidate set."""
-    config = state.config
-    return config.batch_validation and n_candidates >= config.batch_min_candidates
 
 
 def _group_by_partition(

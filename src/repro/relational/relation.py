@@ -23,16 +23,6 @@ from .schema import Attribute, RelationSchema, SchemaError
 NULL = None
 
 
-def _combined_cache_entries() -> int:
-    """Per-relation combined-codes prefix cache size of the active engine state.
-
-    Kept as a module-level helper for backward compatibility; the bound now
-    comes from the active :class:`~repro.config.EngineConfig` (whose default
-    is parsed from ``REPRO_COMBINED_CODES_CACHE_ENTRIES``).
-    """
-    return active_state().config.combined_codes_cache_entries
-
-
 class RelationError(ValueError):
     """Raised for malformed relations or invalid row shapes."""
 
@@ -282,68 +272,16 @@ class Relation:
         first-appearance order, identically on every backend) so
         intermediate keys stay bounded by ``n_rows * n_codes``.  Returns
         ``(codes, n_codes)`` like :meth:`column_codes`.
-
-        Hot prefixes (``attributes[:k]`` for ``k >= 2``) are memoised in a
-        small per-relation LRU owned by the active engine state
-        (``EngineConfig.combined_codes_cache_entries``, default 16 or
-        ``REPRO_COMBINED_CODES_CACHE_ENTRIES``), so repeated partition builds
-        over overlapping attribute sequences stop recomputing the shared
-        fold steps.  The returned sequence may be such a cached object:
-        treat it as read-only.
         """
         if not attributes:
             raise RelationError("combined_column_codes needs at least one attribute")
-        state = active_state()
         backend = get_backend(len(self._rows))
-        if len(attributes) == 1:
-            codes, width = self.column_codes(attributes[0])
-            return backend.initial_codes(codes), width
-
-        counters = state.counters
-        key = tuple(attributes)
-        cache = state.caches_for(self).combined
-        entry = cache.get(key)
-        if entry is not None and entry[2] == backend.name:
-            cache.move_to_end(key)
-            counters.combined_prefix_hits += 1
-            return entry[0], entry[1]
-        counters.combined_prefix_misses += 1
-
-        # Resume from the longest cached prefix folded under the same backend.
-        combined = None
-        width = 0
-        start = 1
-        for length in range(len(key) - 1, 1, -1):
-            prefix = cache.get(key[:length])
-            if prefix is not None and prefix[2] == backend.name:
-                cache.move_to_end(key[:length])
-                counters.combined_prefix_hits += 1
-                combined, width = prefix[0], prefix[1]
-                start = length
-                break
-        if combined is None:
-            first_codes, width = self.column_codes(key[0])
-            combined = backend.initial_codes(first_codes)
-        max_entries = state.config.combined_codes_cache_entries
-        for index in range(start, len(key)):
-            nxt, radix = self.column_codes(key[index])
+        codes, width = self.column_codes(attributes[0])
+        combined = backend.initial_codes(codes)
+        for attribute in attributes[1:]:
+            nxt, radix = self.column_codes(attribute)
             combined, width = backend.combine_codes(combined, width, nxt, radix)
-            cache[key[: index + 1]] = (combined, width, backend.name)
-            cache.move_to_end(key[: index + 1])
-            while len(cache) > max_entries:
-                cache.popitem(last=False)
-                counters.combined_prefix_evictions += 1
         return combined, width
-
-    @property
-    def _combined_codes_cache(self):
-        """The active engine state's combined-codes prefix LRU for this relation.
-
-        Kept as a (read-mostly) property for backward compatibility with code
-        and tests that introspected the old per-relation attribute; storage
-        is session-scoped now.
-        """
-        return active_state().caches_for(self).combined
 
     @property
     def mark_cache(self) -> MarkTableCache:

@@ -1,25 +1,21 @@
-"""Counting-sort grouping path: bit-compatibility, knob plumbing, batching.
+"""Counting-sort and introsort grouping paths: bit-compatibility and selection.
 
-The numpy backend picks between a counting-sort (``uint16`` radix) and the
-composite introsort per call, driven by ``EngineConfig.counting_sort_max_codes``.
-Both are *stable* sorts, and a stable sort's permutation is unique — so the
-two paths must produce byte-identical ``StrippedPartition``s (same group
-order, same positions, same dense codes) on every input.  These tests pin
-that across adversarial key-space shapes, exercise the knob's env/kwarg
-plumbing on the numpy and no-numpy legs, and check the cross-LHS stacked
-level validation against the scalar oracle on both of its internal paths.
+The numpy backend groups a key space of at most ``COUNTING_SORT_SPACE``
+(65 536) dense codes with a ``uint16`` counting sort and larger key spaces
+with the composite introsort.  Both are *stable* sorts, and a stable sort's
+permutation is unique, so either path must produce the same
+``StrippedPartition`` as the pure-python backend (same group order, same
+positions).  These tests pin that on inputs on either side of the bound,
+check through the ``counting_sorts``/``introsorts`` counters which path ran,
+and check the cross-LHS stacked level validation against the scalar oracle
+on both of its internal paths.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import (
-    DEFAULT_COUNTING_SORT_MAX_CODES,
-    ENV_COUNTING_SORT_MAX_CODES,
-    EngineConfig,
-)
-from repro.relational.backend import numpy_available
+from repro.relational.backend import COUNTING_SORT_SPACE, numpy_available
 from repro.relational.partition import (
     StrippedPartition,
     fd_holds_fast,
@@ -40,6 +36,95 @@ def flat(partition):
     if not isinstance(offsets, list):
         offsets = offsets.tolist()
     return positions, offsets
+
+
+def _column_relation(n_codes, extra=4096):
+    """Column ``a`` with exactly ``n_codes`` distinct values, ``extra`` repeats.
+
+    ``7919`` is coprime to every ``n_codes`` used here, so the first
+    ``n_codes`` rows enumerate the whole key space and the repeats land
+    scattered over it: the stripped partition has ``extra`` real groups.
+    """
+    rows = [((i * 7919) % n_codes, i % 3) for i in range(n_codes + extra)]
+    return Relation("r", ("a", "b"), rows)
+
+
+def _pair_relation(width_a):
+    """``a`` with ``width_a`` values and ``b`` with 300; every pair twice."""
+    rows = [(i % width_a, (i // 20) % 300) for i in range(6000)]
+    return Relation("r", ("a", "b"), rows + rows)
+
+
+#: ``(label, relation factory, build, (counting sorts, introsorts))``: the
+#: number of numpy sorts of each kind one build must run.
+BOUNDARY_CASES = [
+    (
+        "column at the bound",
+        lambda: _column_relation(COUNTING_SORT_SPACE),
+        lambda relation: StrippedPartition.from_column(relation, "a"),
+        (1, 0),
+    ),
+    (
+        "column past the bound",
+        lambda: _column_relation(COUNTING_SORT_SPACE + 1),
+        lambda relation: StrippedPartition.from_column(relation, "a"),
+        (0, 1),
+    ),
+    # 200 * 300 = 60 000 combined keys fit the bound; 300 * 300 = 90 000
+    # do not, so the fold step takes the introsort.  The fold re-densifies
+    # to at most 6 000 codes, which the final grouping counting-sorts.
+    (
+        "pair below the bound",
+        lambda: _pair_relation(200),
+        lambda relation: StrippedPartition.from_columns(relation, ("a", "b")),
+        (2, 0),
+    ),
+    (
+        "pair past the bound",
+        lambda: _pair_relation(300),
+        lambda relation: StrippedPartition.from_columns(relation, ("a", "b")),
+        (1, 1),
+    ),
+]
+
+
+def _build(backend, relation, build):
+    with Session(backend=backend) as session:
+        partition = flat(build(relation))
+        stats = session.kernel_stats()
+    return partition, (stats["counting_sorts"], stats["introsorts"])
+
+
+@pytest.fixture(scope="module")
+def boundary_cases():
+    return [
+        (label, make_relation(), build, expected_sorts)
+        for label, make_relation, build, expected_sorts in BOUNDARY_CASES
+    ]
+
+
+@requires_numpy
+def test_counting_and_introsort_paths_are_byte_identical(boundary_cases):
+    for label, relation, build, _ in boundary_cases:
+        numpy_partition, _ = _build("numpy", relation, build)
+        assert numpy_partition == _build("python", relation, build)[0], label
+        assert numpy_partition[1][-1] > 0, f"{label}: needs non-singleton groups"
+
+
+@requires_numpy
+def test_threshold_forces_the_expected_sort_path(boundary_cases):
+    for label, relation, build, expected_sorts in boundary_cases:
+        assert _build("numpy", relation, build)[1] == expected_sorts, label
+
+
+def test_python_backend_records_no_sorts():
+    # The sort counters belong to the numpy backend: the pure-python leg
+    # (and therefore the no-numpy leg) groups without them on either side
+    # of the bound.
+    for n_codes in (COUNTING_SORT_SPACE, COUNTING_SORT_SPACE + 1):
+        relation = _column_relation(n_codes, extra=16)
+        _, sorts = _build("python", relation, lambda r: StrippedPartition.from_column(r, "a"))
+        assert sorts == (0, 0)
 
 
 # Adversarial key-space shapes: constant (k=1), all-distinct (k=n, the
@@ -64,8 +149,8 @@ def shaped_rows(draw):
     return [tuple(column[i] for column in columns) for i in range(n)]
 
 
-def _partitions(rows, **session_kwargs):
-    with Session(backend="numpy", **session_kwargs):
+def _partitions(rows, backend):
+    with Session(backend=backend):
         relation = Relation("r", ATTRS, rows)
         singles = [flat(StrippedPartition.from_column(relation, a)) for a in ATTRS]
         combined = flat(StrippedPartition.from_columns(relation, ATTRS))
@@ -78,51 +163,8 @@ def _partitions(rows, **session_kwargs):
 @requires_numpy
 @settings(max_examples=60, deadline=None)
 @given(rows=shaped_rows())
-def test_counting_and_introsort_paths_are_byte_identical(rows):
-    # max_codes=0 disables the counting path (introsort only); the default
-    # enables it for every key space the kernel re-densifies into uint16.
-    counting = _partitions(rows, counting_sort_max_codes=DEFAULT_COUNTING_SORT_MAX_CODES)
-    introsort = _partitions(rows, counting_sort_max_codes=0)
-    assert counting == introsort
-
-
-@requires_numpy
-def test_threshold_forces_the_expected_sort_path():
-    rows = [(i % 7, i % 3, i % 5) for i in range(200)]
-    with Session(backend="numpy", counting_sort_max_codes=DEFAULT_COUNTING_SORT_MAX_CODES) as on:
-        relation = Relation("r", ATTRS, rows)
-        StrippedPartition.from_columns(relation, ATTRS)
-        stats_on = on.kernel_stats()
-    with Session(backend="numpy", counting_sort_max_codes=0) as off:
-        relation = Relation("r", ATTRS, rows)
-        StrippedPartition.from_columns(relation, ATTRS)
-        stats_off = off.kernel_stats()
-    assert stats_on["counting_sorts"] > 0
-    assert stats_on["introsorts"] == 0
-    assert stats_off["counting_sorts"] == 0
-    assert stats_off["introsorts"] > 0
-
-
-def test_knob_is_inert_on_the_python_backend():
-    # The knob only steers numpy code: the pure-python leg (and therefore
-    # the no-numpy leg) accepts it and produces identical partitions.
-    rows = [(i % 4, i % 2, i) for i in range(40)]
-    results = []
-    for max_codes in (0, DEFAULT_COUNTING_SORT_MAX_CODES):
-        with Session(backend="python", counting_sort_max_codes=max_codes):
-            relation = Relation("r", ATTRS, rows)
-            results.append(flat(StrippedPartition.from_columns(relation, ("a", "b"))))
-    assert results[0] == results[1]
-
-
-def test_env_and_kwarg_plumbing():
-    assert EngineConfig.from_env({}).counting_sort_max_codes == DEFAULT_COUNTING_SORT_MAX_CODES
-    config = EngineConfig.from_env({ENV_COUNTING_SORT_MAX_CODES: "1024"})
-    assert config.counting_sort_max_codes == 1024
-    with pytest.raises(ValueError):
-        EngineConfig(counting_sort_max_codes=-1)
-    with Session(counting_sort_max_codes=77) as session:
-        assert session.config.counting_sort_max_codes == 77
+def test_small_key_spaces_match_the_python_backend(rows):
+    assert _partitions(rows, "numpy") == _partitions(rows, "python")
 
 
 # ---------------------------------------------------------------------------

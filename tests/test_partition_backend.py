@@ -5,8 +5,8 @@ identical flat arrays (group order, positions order), identical dense code
 assignment, identical verdicts from the batched validation entry points.
 Property-style tests pin the two backends against each other on randomised
 relations (with NULLs and duplicated rows); further tests cover the
-selection logic (environment variable, numpy masked out), the relation-
-scoped byte-budgeted mark-table cache and the combined-codes prefix cache.
+selection logic (environment variable, numpy masked out) and the relation-
+scoped byte-budgeted mark-table cache.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.discovery import FUN, TANE, HyFD
 from repro.discovery.tane import ApproximateTANE
 from repro.relational import backend as backend_module
 from repro.relational.backend import (
-    KERNEL_COUNTERS,
     MarkTableCache,
     _resolve_backend,
     get_backend,
@@ -113,7 +112,6 @@ def test_combined_codes_are_bit_identical(rows):
             with use_backend(name):
                 relation = Relation("r", ATTRS, rows)
                 codes, width = relation.combined_column_codes(attributes)
-                # A second call exercises the prefix cache (exact hit).
                 again, width_again = relation.combined_column_codes(attributes)
                 assert list(again) == list(codes) and width_again == width
                 results.append((list(codes), width))
@@ -308,49 +306,21 @@ class TestMarkTableCache:
         assert MarkTableCache().budget_bytes == backend_module.DEFAULT_MARKS_BUDGET_BYTES
 
 
-# ---------------------------------------------------------------------------
-# Combined-codes prefix cache.
-# ---------------------------------------------------------------------------
-
-
-class TestCombinedCodesPrefixCache:
-    def relation(self):
+def test_combined_codes_match_a_fresh_relation():
+    def relation():
         return Relation(
             "r",
             ("a", "b", "c", "d"),
             [(i % 3, i % 2, i % 4, i % 5) for i in range(30)],
         )
 
-    def test_prefix_reuse_is_counted_and_correct(self):
-        relation = self.relation()
-        before = KERNEL_COUNTERS.snapshot()
-        full, full_width = relation.combined_column_codes(("a", "b", "c"))
-        fresh = self.relation()
-        expected, expected_width = fresh.combined_column_codes(("a", "b", "c"))
-        # Extending a cached prefix reuses the (a, b) fold.
-        extended, _ = relation.combined_column_codes(("a", "b", "d"))
-        fresh_extended, _ = fresh.combined_column_codes(("a", "b", "d"))
-        delta = KERNEL_COUNTERS.delta(before)
-        assert (list(full), full_width) == (list(expected), expected_width)
-        assert list(extended) == list(fresh_extended)
-        assert delta["combined_prefix_hits"] >= 1
-
-    def test_cache_is_bounded(self):
-        relation = self.relation()
-        names = relation.attribute_names
-        from itertools import permutations
-
-        for combo in permutations(names, 3):
-            relation.combined_column_codes(combo)
-        from repro.relational.relation import _combined_cache_entries
-
-        assert len(relation._combined_codes_cache) <= _combined_cache_entries()
-
-    def test_exact_hit_returns_cached_codes(self):
-        relation = self.relation()
-        first, _ = relation.combined_column_codes(("a", "b"))
-        second, _ = relation.combined_column_codes(("a", "b"))
-        assert list(first) == list(second)
+    reused = relation()
+    full, full_width = reused.combined_column_codes(("a", "b", "c"))
+    extended, extended_width = reused.combined_column_codes(("a", "b", "d"))
+    fresh, fresh_width = relation().combined_column_codes(("a", "b", "c"))
+    fresh_extended, fresh_extended_width = relation().combined_column_codes(("a", "b", "d"))
+    assert (list(full), full_width) == (list(fresh), fresh_width)
+    assert (list(extended), extended_width) == (list(fresh_extended), fresh_extended_width)
 
 
 # ---------------------------------------------------------------------------

@@ -181,12 +181,12 @@ class TestSessionPool:
 
     def test_per_tenant_config(self):
         configs = parse_tenant_configs(
-            {"*": {"batch_min_candidates": 7}, "acme": {"backend": "python"}}
+            {"*": {"marks_cache_bytes": 4096}, "acme": {"backend": "python"}}
         )
         pool = SessionPool(configs)
         assert pool.get("acme").config.backend == "python"
-        assert pool.get("acme").config.batch_min_candidates == 7
-        assert pool.get("other").config.batch_min_candidates == 7
+        assert pool.get("acme").config.marks_cache_bytes == 4096
+        assert pool.get("other").config.marks_cache_bytes == 4096
 
     def test_lru_eviction_caps_sessions(self):
         pool = SessionPool(max_sessions=2)

@@ -27,11 +27,15 @@ from repro.cli import main
 from repro.config import (
     ENV_BACKEND,
     ENV_BACKEND_MIN_NUMPY_ROWS,
-    ENV_COMBINED_CACHE_ENTRIES,
     ENV_MARKS_CACHE_BYTES,
     ConfigError,
 )
 from repro.relational.backend import KERNEL_COUNTERS, numpy_available
+from repro.relational.partition import (
+    StrippedPartition,
+    fd_violation_fraction_from_partition,
+    validate_level_errors,
+)
 from repro.session import default_session
 
 requires_numpy = pytest.mark.skipif(
@@ -83,13 +87,11 @@ class TestEngineConfig:
                 ENV_BACKEND: "python",
                 ENV_BACKEND_MIN_NUMPY_ROWS: "128",
                 ENV_MARKS_CACHE_BYTES: "4096",
-                ENV_COMBINED_CACHE_ENTRIES: "5",
             }
         )
         assert config.backend == "python"
         assert config.backend_min_numpy_rows == 128
         assert config.marks_cache_bytes == 4096
-        assert config.combined_codes_cache_entries == 5
 
     def test_malformed_env_values_fall_back(self):
         config = EngineConfig.from_env(env={ENV_MARKS_CACHE_BYTES: "not-a-number"})
@@ -198,10 +200,23 @@ class TestArtifactsAcrossConfigurations:
 
     def test_batched_and_scalar_validation_identical(self):
         relation = small_relation()
-        batched = Session(batch_validation=True).profile(relation, threshold=0.5)
-        scalar = Session(batch_validation=False).profile(relation, threshold=0.5)
-        assert batched.artifact_fingerprint() == scalar.artifact_fingerprint()
-        assert Session(batch_validation=False).counters.batched_levels == 0
+        backends = ("python", "numpy") if numpy_available() else ("python",)
+        for backend in backends:
+            with Session(backend=backend) as session:
+                singles = {
+                    name: StrippedPartition.from_column(relation, name)
+                    for name in relation.attribute_names
+                }
+                lhs_partitions = [*singles.values(), singles["a"].intersect(singles["c"])]
+                batch = [
+                    (partition, rhs) for partition in lhs_partitions for rhs in singles
+                ]
+                scalar = [
+                    fd_violation_fraction_from_partition(relation, partition, rhs)
+                    for partition, rhs in batch
+                ]
+                assert validate_level_errors(relation, batch) == scalar
+                assert session.counters.batched_levels == 1
 
     def test_env_var_and_engine_config_produce_identical_artifacts(self, monkeypatch):
         relation_rows = list(small_relation())
@@ -297,7 +312,6 @@ class TestSessionIsolation:
         second_caches = second.state.caches_for(relation)
         assert first_caches is not second_caches
         assert first_caches.marks is not second_caches.marks
-        assert first_caches.combined is not second_caches.combined
 
     def test_explicit_sessions_do_not_pollute_the_default_session(self):
         before = KERNEL_COUNTERS.snapshot()
