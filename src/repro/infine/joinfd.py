@@ -17,12 +17,21 @@ discovery of the straightforward approach by combining three prunings:
 
 Only when a candidate survives all three prunings is the (partial) join
 materialised — lazily, once — and the candidate checked with stripped
-partitions.  Data validations run on the pluggable partition backend
-(``fd_holds_fast`` probes the LHS partition's groups against the cached RHS
-column codes — a boolean-mask pass on the numpy fast path, an early-exit
-scan on the pure-python fallback); candidates here are validated one by one
-because each verdict feeds the Armstrong/domination prunings of the very
-next candidate, unlike the independent levels batched by TANE/FUN.
+partitions.  LHS partitions come from one
+:func:`~repro.relational.partition.make_partition_cache` per join node, so
+the active ``EngineConfig.partition_cache_max_positions`` bounds it like
+every other algorithm-owned cache (unbounded by default).  Data validations
+run on the pluggable partition backend (``fd_holds_fast`` probes the LHS
+partition's groups against the cached RHS column codes — a boolean-mask
+pass on the numpy fast path, an early-exit scan on the pure-python
+fallback); candidates here are validated one by one because each verdict
+feeds the Armstrong/domination prunings of the very next candidate, unlike
+the independent levels batched by TANE/FUN.
+
+The closures the prunings consult are memoised per call: the side closures
+of Theorem 4 by the candidate's same-side LHS part (the side covers never
+change within a join node), and closures over ``known + found`` until the
+next discovered FD makes them stale.
 """
 
 from __future__ import annotations
@@ -33,8 +42,7 @@ from typing import Iterable, Sequence
 from ..fd.closure import FDIndex
 from ..fd.fd import FD
 from ..relational.algebra import JoinKind, equi_join
-from ..relational.backend import get_backend
-from ..relational.partition import PartitionCache, fd_holds_fast
+from ..relational.partition import PartitionCache, fd_holds_fast, make_partition_cache
 from ..relational.relation import Relation
 from .provenance import FDType, ProvenanceTriple
 
@@ -58,12 +66,6 @@ class JoinMiningOutcome:
     partial_join_rows: int = 0
     #: The materialised partial join, if any (reused by the engine for enclosing nodes).
     joined: Relation | None = None
-    #: Hit/miss/eviction counters of the join's bounded :class:`PartitionCache`
-    #: (``None`` when the join was never materialised), reported alongside the
-    #: partition backend that executed the validations.
-    partition_cache_stats: dict | None = None
-    #: Name of the partition backend active during the mining.
-    partition_backend: str = ""
 
 
 def mine_join_fds(
@@ -133,14 +135,19 @@ def mine_join_fds(
     max_size = max_lhs_size if max_lhs_size is not None else len(view_attrs) - 1
 
     joined: Relation | None = None
+    joined_attrs: frozenset[str] = frozenset()
     cache: PartitionCache | None = None
     closure_cache: dict[frozenset[str], frozenset[str]] = {}
     known_index = FDIndex(known)
-    # Closures over `known + found` are re-indexed lazily whenever the mining
-    # discovers a new FD; between discoveries the index is reused across every
-    # candidate of the lattice walk.
+    # Closures over `known + found` are memoised until the mining discovers a
+    # new FD; the first closure asked after a discovery re-indexes and starts
+    # a fresh memo.
     combined_index = known_index
+    combined_cache: dict[frozenset[str], frozenset[str]] = {}
     combined_stale = False
+    # Theorem 4 side closures, keyed by the candidate's same-side LHS part.
+    left_closures: dict[frozenset[str], frozenset[str]] = {}
+    right_closures: dict[frozenset[str], frozenset[str]] = {}
 
     def known_closure(lhs: frozenset[str]) -> frozenset[str]:
         cached = closure_cache.get(lhs)
@@ -153,20 +160,23 @@ def mine_join_fds(
         nonlocal combined_index, combined_stale
         if combined_stale:
             combined_index = FDIndex(known + found)
+            combined_cache.clear()
             combined_stale = False
-        return combined_index.closure(lhs)
+        cached = combined_cache.get(lhs)
+        if cached is None:
+            cached = combined_index.closure(lhs)
+            combined_cache[lhs] = cached
+        return cached
 
     def materialise_join() -> tuple[Relation, PartitionCache]:
-        nonlocal joined, cache
+        nonlocal joined, joined_attrs, cache
         if joined is None:
             joined = equi_join(
                 left_instance, right_instance, left_on, right_on, kind=kind,
                 name=f"partial({subquery})",
             )
-            # The lattice walk can request one LHS partition per surviving
-            # candidate; bound the cache so wide joins cannot hold every
-            # combination alive at once (evicted entries are recomputed).
-            cache = PartitionCache(joined, max_positions=max(65_536, 16 * len(joined)))
+            joined_attrs = frozenset(joined.attribute_names)
+            cache = make_partition_cache(joined)
             outcome.join_materialised = True
             outcome.partial_join_rows = len(joined)
             outcome.joined = joined
@@ -231,7 +241,7 @@ def mine_join_fds(
                 if use_theorem4 and not _theorem4_admits(
                     lhs, rhs, in_left, in_right,
                     left_side, right_side, left_join_attrs, right_join_attrs,
-                    left_cover_index, right_cover_index,
+                    left_cover_index, right_cover_index, left_closures, right_closures,
                 ):
                     # The candidate cannot hold on the join (Theorem 4);
                     # supersets adding same-side attributes may still hold.
@@ -240,7 +250,7 @@ def mine_join_fds(
                     continue
                 join_instance, join_cache = materialise_join()
                 outcome.candidates_validated += 1
-                usable = lhs <= set(join_instance.attribute_names) and join_instance.schema.has(rhs)
+                usable = lhs <= joined_attrs and rhs in joined_attrs
                 if usable and fd_holds_fast(join_instance, join_cache.get(lhs), rhs):
                     dependency = FD(lhs, rhs)
                     found.append(dependency)
@@ -255,14 +265,6 @@ def mine_join_fds(
             size += 1
 
     outcome.fds = sorted(found, key=FD.sort_key)
-    # Resolve against the partial join when it was materialised, so the
-    # recorded provenance honours the per-relation backend heuristic the
-    # validation probes actually ran under.
-    outcome.partition_backend = get_backend(
-        len(joined) if joined is not None else None
-    ).name
-    if cache is not None:
-        outcome.partition_cache_stats = cache.stats.as_dict()
     return outcome
 
 
@@ -312,26 +314,41 @@ def _theorem4_admits(
     right_join_attrs: set[str],
     left_cover_index: FDIndex,
     right_cover_index: FDIndex,
+    left_closures: dict[frozenset[str], frozenset[str]],
+    right_closures: dict[frozenset[str], frozenset[str]],
 ) -> bool:
     """Whether Theorem 4 allows the candidate ``lhs -> rhs`` to hold at all.
 
     For a dependent attribute from side ``J`` with join attributes ``Y``, the
     candidate can hold only if ``Y ∪ (lhs ∩ atts(J)) -> rhs`` holds on the
     (reduced) instance of ``J``, which is decided against that side's
-    complete FD cover (indexed once per join node).  A dependent shared by
-    both sides (a join attribute) admits the candidate whenever either side
-    does.
+    complete FD cover (indexed once per join node).  ``left_closures`` and
+    ``right_closures`` memoise those side closures by the same-side part of
+    ``lhs``, which is all they depend on within one join node.  A dependent
+    shared by both sides (a join attribute) admits the candidate whenever
+    either side does.
     """
-    admitted = False
     if in_right:
+        if rhs in right_join_attrs:
+            return True
         same_side = lhs & (right_side - right_join_attrs)
-        closure = right_cover_index.closure(right_join_attrs | same_side)
-        admitted = admitted or rhs in closure or rhs in right_join_attrs
-    if in_left and not admitted:
+        closure = right_closures.get(same_side)
+        if closure is None:
+            closure = right_cover_index.closure(right_join_attrs | same_side)
+            right_closures[same_side] = closure
+        if rhs in closure:
+            return True
+    if in_left:
+        if rhs in left_join_attrs:
+            return True
         same_side = lhs & (left_side - left_join_attrs)
-        closure = left_cover_index.closure(left_join_attrs | same_side)
-        admitted = admitted or rhs in closure or rhs in left_join_attrs
-    return admitted
+        closure = left_closures.get(same_side)
+        if closure is None:
+            closure = left_cover_index.closure(left_join_attrs | same_side)
+            left_closures[same_side] = closure
+        if rhs in closure:
+            return True
+    return False
 
 
 def _next_level(

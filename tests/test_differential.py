@@ -1,8 +1,8 @@
 """Differential conformance suite: pins the fuzz tool's grid as tier-1 tests.
 
 ``tools/fuzz_differential.py`` is the replayable generator/checker; this
-module drives it from pytest so the conformance grid — {python, numpy} ×
-every registered discovery algorithm — runs on every tier-1 invocation with
+module drives it from pytest so the conformance grid — {python,
+python-cache1, numpy} × every registered discovery algorithm — runs on every tier-1 invocation with
 fixed seeds plus explicit adversarial fixtures the random generator is not
 guaranteed to hit (empty relation, single row, three rows, pure constants,
 all-distinct, heavy skew, nulls).
@@ -68,13 +68,14 @@ def test_adversarial_fixtures_conform(case):
 
 
 def test_grid_covers_required_legs():
-    """The grid must span both backends."""
+    """The grid must span both backends and a cache budget that forces eviction."""
     legs = dict(fuzz_differential.conformance_legs())
     assert legs["python"] == {"backend": "python"}
+    assert legs["python-cache1"] == {"backend": "python", "partition_cache_max_positions": 1}
     if not numpy_available():
         pytest.skip("numpy not installed")
     assert legs["numpy"] == {"backend": "numpy"}
-    assert len(legs) == 2
+    assert len(legs) == 3
 
 
 def test_grid_covers_all_registered_algorithms():

@@ -1,15 +1,17 @@
 """Differential conformance fuzzer: one workload, every engine leg, same bytes.
 
 The repo's central invariant is that *no engine knob changes artefacts*: the
-python and numpy partition backends are bit-compatible.  This tool makes
-that a *fuzzed* invariant instead of a per-PR claim: a seed-replayable
-generator produces adversarial relations (skew, constants, all-distinct
-runs, nulls, long equal blocks, empty and single-row instances) and every
-registered discovery algorithm is executed on every engine leg of the
-conformance grid
+python and numpy partition backends are bit-compatible, and a partition-cache
+budget only trades memory for recomputation.  This tool makes that a
+*fuzzed* invariant instead of a per-PR claim: a seed-replayable generator
+produces adversarial relations (skew, constants, all-distinct runs, nulls,
+long equal blocks, empty and single-row instances) and every registered
+discovery algorithm is executed on every engine leg of the conformance grid
 
-    {python, numpy}
+    {python, python-cache1, numpy}
 
+where ``python-cache1`` bounds every algorithm-owned partition cache to one
+position (FUN, HyFD and naive then evict and recompute cached partitions),
 asserting, per seed:
 
 * the canonical FD set of every algorithm is identical across legs;
@@ -94,10 +96,13 @@ def generate_case(seed: int) -> tuple[tuple[str, ...], list[tuple], list[str]]:
 def conformance_legs() -> list[tuple[str, dict]]:
     """The engine legs of the grid, as ``(label, Session overrides)`` pairs.
 
-    Without numpy only the python leg exists (nothing to differ from, but
-    the tool still exercises the generator and the python run).
+    Without numpy only the two python legs exist, which still differ in
+    their partition-cache budget.
     """
-    legs = [("python", {"backend": "python"})]
+    legs = [
+        ("python", {"backend": "python"}),
+        ("python-cache1", {"backend": "python", "partition_cache_max_positions": 1}),
+    ]
     if numpy_available():
         legs.append(("numpy", {"backend": "numpy"}))
     return legs
