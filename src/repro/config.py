@@ -241,18 +241,6 @@ ENV_SERVE_DRAIN_DEADLINE = "REPRO_SERVE_DRAIN_DEADLINE"
 #: survives a restart).
 ENV_REGISTRY_DIR = "REPRO_REGISTRY_DIR"
 
-#: Environment variable sizing the process-executor worker pool independently
-#: of the queue-thread count (``0`` = one worker process per queue thread).
-ENV_SERVE_PROCESSES = "REPRO_SERVE_PROCESSES"
-
-#: Environment variable recycling each worker process after N jobs (``0`` =
-#: never recycle).
-ENV_SERVE_MAX_JOBS_PER_WORKER = "REPRO_SERVE_MAX_JOBS_PER_WORKER"
-
-#: Environment variable budgeting the shared-memory data plane in bytes
-#: (``0`` disables it; jobs then always travel the pickled wire path).
-ENV_SHM_BYTES = "REPRO_SHM_BYTES"
-
 #: Default serving worker count (threads or worker processes).
 DEFAULT_SERVE_WORKERS = 4
 
@@ -268,10 +256,6 @@ DEFAULT_SERVE_RESTART_WINDOW = 30.0
 
 #: Default graceful-drain deadline, in seconds.
 DEFAULT_SERVE_DRAIN_DEADLINE = 10.0
-
-#: Default shared-memory plane budget: sixteen ~1M-row, 8-column relations of
-#: 8-byte codes.  ``0`` disables the plane.
-DEFAULT_SHM_BYTES = 256 * 1024 * 1024
 
 _EXECUTOR_CHOICES = ("thread", "process")
 
@@ -324,23 +308,10 @@ class ServeConfig:
         Root directory of the on-disk relation registry
         (:class:`repro.registry.RelationRegistry`); ``None`` keeps the
         server's registry in-memory — ``PUT /relations``/``relation_ref``
-        still work, but entries do not survive a restart.
-    processes:
-        Size of the process executor's worker-process pool, decoupled from
-        ``workers`` (the queue-thread count): any idle worker serves any
-        queue thread.  ``0`` sizes the pool to match ``workers`` — the
-        pre-pool 1:1 behaviour.
-    max_jobs_per_worker:
-        Recycle each worker process after this many completed jobs (bounds
-        per-worker memory growth; the replacement spawn is *not* counted
-        against the supervision restart budget).  ``0`` never recycles.
-    shm_bytes:
-        Byte budget of the shared-memory data plane
-        (:class:`repro.shm.SharedRelationPlane`): registry-resident
-        relations are published once as ``/dev/shm`` segments and attached
-        zero-copy by worker processes instead of being re-pickled per job.
-        ``0`` disables the plane (jobs travel the wire path, artefacts are
-        byte-identical either way).
+        still work, but entries do not survive a restart.  Under
+        ``process`` a persistent registry also lets each worker process
+        resolve and cache ``relation_ref`` jobs itself; an in-memory one
+        makes the server ship every by-ref job's rows inline.
     """
 
     executor: str = "thread"
@@ -354,9 +325,6 @@ class ServeConfig:
     drain_deadline: float = DEFAULT_SERVE_DRAIN_DEADLINE
     faults: str | None = None
     registry_dir: str | None = None
-    processes: int = 0
-    max_jobs_per_worker: int = 0
-    shm_bytes: int = DEFAULT_SHM_BYTES
 
     def __post_init__(self) -> None:
         if self.executor not in _EXECUTOR_CHOICES:
@@ -381,9 +349,6 @@ class ServeConfig:
             raise ConfigError(f"restart_window must be positive, got {self.restart_window}")
         if self.drain_deadline <= 0:
             raise ConfigError(f"drain_deadline must be positive, got {self.drain_deadline}")
-        for name in ("processes", "max_jobs_per_worker", "shm_bytes"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None) -> "ServeConfig":
@@ -394,34 +359,7 @@ class ServeConfig:
         malformed choices raise :class:`ConfigError` rather than silently
         degrading.
         """
-        if env is None:
-            env = os.environ
-        executor = (env.get(ENV_SERVE_EXECUTOR) or "thread").strip().lower() or "thread"
-        start_method = (env.get(ENV_SERVE_START_METHOD) or "spawn").strip().lower() or "spawn"
-        return cls(
-            executor=executor,
-            workers=_env_int(env, ENV_SERVE_WORKERS, DEFAULT_SERVE_WORKERS, minimum=1),
-            warmup=_env_bool(env, ENV_SERVE_WARMUP, True),
-            start_method=start_method,
-            max_attempts=_env_int(
-                env, ENV_SERVE_MAX_ATTEMPTS, DEFAULT_SERVE_MAX_ATTEMPTS, minimum=1
-            ),
-            restart_budget=_env_int(
-                env, ENV_SERVE_RESTART_BUDGET, DEFAULT_SERVE_RESTART_BUDGET
-            ),
-            restart_window=_env_float(
-                env, ENV_SERVE_RESTART_WINDOW, DEFAULT_SERVE_RESTART_WINDOW, minimum=0.001
-            ),
-            degraded_fallback=_env_bool(env, ENV_SERVE_DEGRADED_FALLBACK, False),
-            drain_deadline=_env_float(
-                env, ENV_SERVE_DRAIN_DEADLINE, DEFAULT_SERVE_DRAIN_DEADLINE, minimum=0.001
-            ),
-            faults=(env.get(ENV_SERVE_FAULTS) or "").strip() or None,
-            registry_dir=(env.get(ENV_REGISTRY_DIR) or "").strip() or None,
-            processes=_env_int(env, ENV_SERVE_PROCESSES, 0),
-            max_jobs_per_worker=_env_int(env, ENV_SERVE_MAX_JOBS_PER_WORKER, 0),
-            shm_bytes=_env_int(env, ENV_SHM_BYTES, DEFAULT_SHM_BYTES),
-        )
+        return cls(**cls.from_env_fields([f.name for f in dataclasses.fields(cls)], env))
 
     @classmethod
     def from_env_fields(
@@ -459,9 +397,6 @@ class ServeConfig:
             ),
             "faults": lambda: (env.get(ENV_SERVE_FAULTS) or "").strip() or None,
             "registry_dir": lambda: (env.get(ENV_REGISTRY_DIR) or "").strip() or None,
-            "processes": lambda: _env_int(env, ENV_SERVE_PROCESSES, 0),
-            "max_jobs_per_worker": lambda: _env_int(env, ENV_SERVE_MAX_JOBS_PER_WORKER, 0),
-            "shm_bytes": lambda: _env_int(env, ENV_SHM_BYTES, DEFAULT_SHM_BYTES),
         }
         unknown = set(names) - set(parsers)
         if unknown:

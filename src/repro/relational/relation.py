@@ -225,25 +225,6 @@ class Relation:
         self._column_codes_cache[attribute] = encoded
         return encoded
 
-    def column_dictionary(self, attribute: str) -> list[Any]:
-        """The distinct raw values of ``attribute`` in first-appearance order.
-
-        The decode table of :meth:`column_codes`: ``dictionary[code]`` is the
-        raw value that ``code`` stands for, so ``(codes, dictionary)`` round-
-        trips the column exactly (``NULL`` included).  Together with
-        :meth:`from_codes` this is the export/import surface the
-        shared-memory data plane ships relations through.
-        """
-        idx = self._schema.index_of(attribute)
-        seen: set[Hashable] = set()
-        dictionary: list[Any] = []
-        for row in self._rows:
-            value = row[idx]
-            if value not in seen:
-                seen.add(value)
-                dictionary.append(value)
-        return dictionary
-
     def content_hash(self) -> str:
         """The canonical content address of this relation (sha256 hexdigest).
 
@@ -373,63 +354,6 @@ class Relation:
         schema = RelationSchema(list(columns.keys()))
         rows = list(zip(*columns.values()))
         return cls(name, schema, rows)
-
-    @classmethod
-    def from_codes(
-        cls,
-        name: str,
-        schema: RelationSchema | Sequence[Attribute | str],
-        columns: Sequence[tuple[Sequence[int], Sequence[Any]]],
-    ) -> "Relation":
-        """Build a relation from per-column ``(codes, dictionary)`` pairs.
-
-        The inverse of (:meth:`column_codes`, :meth:`column_dictionary`):
-        ``columns`` holds one pair per schema attribute, where ``codes`` are
-        dense integers assigned in first-appearance order and ``dictionary``
-        decodes them.  Codes are validated to *be* first-appearance dense —
-        that invariant is what lets the encoding cache be pre-seeded with the
-        given codes, so a round-tripped relation re-encodes bit-identically
-        (same :meth:`content_hash`) without a second encoding pass.
-        """
-        if not isinstance(schema, RelationSchema):
-            schema = RelationSchema(schema)
-        if len(columns) != len(schema):
-            raise RelationError(
-                f"relation {name!r} got {len(columns)} code columns, "
-                f"schema expects {len(schema)}"
-            )
-        lengths = {len(codes) for codes, _ in columns}
-        if len(lengths) > 1:
-            raise RelationError(f"code columns have inconsistent lengths: {sorted(lengths)}")
-        decoded: list[list[Any]] = []
-        for attribute, (codes, dictionary) in zip(schema.names, columns):
-            next_code = 0
-            for code in codes:
-                if code == next_code:
-                    next_code += 1
-                elif not 0 <= code < next_code:
-                    raise RelationError(
-                        f"column {attribute!r} of relation {name!r} is not a "
-                        f"first-appearance dense encoding (code {code} after "
-                        f"{next_code} distinct values)"
-                    )
-            if next_code != len(dictionary):
-                raise RelationError(
-                    f"column {attribute!r} of relation {name!r} uses {next_code} "
-                    f"codes but its dictionary holds {len(dictionary)} values"
-                )
-            decoded.append([dictionary[code] for code in codes])
-        relation = cls(name, schema, list(zip(*decoded)) if decoded else [])
-        for attribute, (codes, dictionary) in zip(schema.names, columns):
-            counts = [0] * len(dictionary)
-            for code in codes:
-                counts[code] += 1
-            relation._column_codes_cache[attribute] = (
-                array("q", codes),
-                len(dictionary),
-                counts,
-            )
-        return relation
 
     @classmethod
     def empty(cls, name: str, schema: RelationSchema | Sequence[str]) -> "Relation":

@@ -97,31 +97,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         f"(default: {defaults.start_method})",
     )
     parser.add_argument(
-        "--processes",
-        type=int,
-        default=defaults.processes,
-        help="worker-process pool size of the process executor; queue "
-        "workers share the pool (M:N, work stealing). 0 = one process "
-        f"per worker (default: {defaults.processes})",
-    )
-    parser.add_argument(
-        "--max-jobs-per-worker",
-        type=int,
-        default=defaults.max_jobs_per_worker,
-        help="recycle each worker process after this many jobs "
-        "(bounds per-worker memory growth); 0 = never "
-        f"(default: {defaults.max_jobs_per_worker})",
-    )
-    parser.add_argument(
-        "--shm-bytes",
-        type=int,
-        default=defaults.shm_bytes,
-        help="byte budget of the zero-copy shared-memory data plane "
-        "(process executor; registry-resident relations attach in "
-        "workers instead of travelling as per-job JSON); 0 disables "
-        f"(default: {defaults.shm_bytes})",
-    )
-    parser.add_argument(
         "--max-queue",
         type=int,
         default=64,
@@ -243,9 +218,6 @@ def main_serve(argv: Sequence[str] | None = None) -> int:
         drain_deadline=args.drain_deadline,
         faults=args.faults,
         registry=args.registry_dir,
-        processes=args.processes,
-        max_jobs_per_worker=args.max_jobs_per_worker,
-        shm_bytes=args.shm_bytes,
     )
     frontend = HttpFrontend(server, host=args.host, port=args.port, verbose=args.verbose)
     host, port = frontend.address

@@ -9,12 +9,11 @@ shutdown — but delegates the actual *execution* of a claimed job to a
   worker thread, in-process.  This is the original behaviour: cheap, shares
   the server's :class:`~repro.serve.pool.SessionPool`, but CPU-bound jobs
   serialise on the GIL.
-* :class:`ProcessExecutor` — an M:N ``multiprocessing`` worker pool: M
-  queue worker threads submit to N worker processes through a shared idle
-  list (any free worker serves any thread — work stealing), with optional
-  recycling after ``REPRO_SERVE_MAX_JOBS_PER_WORKER`` jobs.  Each worker
-  process owns its own lazily built :class:`~repro.serve.pool.SessionPool`
-  (sessions are share-nothing by design), receives jobs as the existing
+* :class:`ProcessExecutor` — a ``multiprocessing`` worker pool, one worker
+  process per queue worker thread, handed out through a shared idle list
+  (any free worker serves any thread).  Each worker process owns its own
+  lazily built :class:`~repro.serve.pool.SessionPool` (sessions are
+  share-nothing by design), receives jobs as the existing
   ``repro/job-request-v1`` JSON payloads and replies with the canonical
   ``repro/run-result-v1`` JSON — the exact bytes a bare session would have
   produced, so served artefacts are byte-identical across executors (pinned
@@ -25,12 +24,10 @@ Crash recovery: a worker process that dies mid-job (OOM-kill, segfault,
 pipe, marks the job ``failed`` with a diagnostic naming the dead pid and
 exit code, and the executor spawns a fresh worker process for the next job.
 
-The wire across the pipe is deliberately thin: ``("job", payload_bytes,
-shm_meta)`` in — the payload JSON is encoded **once per submission** by
-:class:`PreparedTask` and reused across retries, and ``shm_meta`` (when the
-shared-memory plane holds the job's relation) names the segment to attach
-zero-copy instead of re-parsing rows — and ``("result", json_text,
-shm_status)`` out (``("error", message)`` for job-level failures).  Plain
+The wire across the pipe is deliberately thin: ``("job", payload_bytes)``
+in — the payload JSON is encoded **once per submission** by
+:class:`PreparedTask` and reused across retries — and ``("result",
+json_text)`` out (``("error", message)`` for job-level failures).  Plain
 zero-argument picklables are also accepted (``("call", fn)``), which keeps
 :class:`ProcessExecutor` drivable by the queue's generic tests without
 going through the session machinery.
@@ -57,7 +54,6 @@ from .faults import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
-    from ..shm.plane import SharedRelationPlane
     from .pool import SessionPool
 
 #: Executor kinds selectable by name (CLI ``--executor``, ``ServeConfig``).
@@ -67,21 +63,16 @@ EXECUTOR_KINDS = ("thread", "process")
 class PreparedTask:
     """A job payload serialised once at submit time, reused across retries.
 
-    The pre-pool executor re-encoded the identical ``repro/job-request-v1``
-    dict on *every* retry attempt; :meth:`encoded` memoises the canonical
-    JSON bytes so attempt N ships the exact buffer attempt 1 built
+    :meth:`encoded` memoises the canonical JSON bytes of the
+    ``repro/job-request-v1`` dict, so retry attempt N ships the exact buffer
+    attempt 1 built instead of re-encoding it
     (``serialisations`` counts encodes and is pinned to 1 by tests).
-    ``shm_hash`` carries the content hash of the job's relation when the
-    shared-memory plane holds it — each execution attempt then leases the
-    segment and ships attach metadata instead of relying on the payload's
-    rows.
     """
 
-    __slots__ = ("payload", "shm_hash", "serialisations", "_encoded")
+    __slots__ = ("payload", "serialisations", "_encoded")
 
-    def __init__(self, payload: Mapping[str, Any], shm_hash: "str | None" = None) -> None:
+    def __init__(self, payload: Mapping[str, Any]) -> None:
         self.payload = dict(payload)
-        self.shm_hash = shm_hash
         self.serialisations = 0
         self._encoded: "bytes | None" = None
 
@@ -258,18 +249,14 @@ def _process_worker_main(
 
     Owns a lazily built :class:`SessionPool` configured exactly like the
     parent's (the per-tenant ``EngineConfig`` mapping travels as its JSON
-    form), executes ``("job", payload, shm_meta)`` messages through the
-    same :func:`~repro.serve.protocol.execute_payload` path a bare session
-    uses, and replies with the canonical ``repro/run-result-v1`` JSON text
-    plus how the relation arrived (``"shm"``/``"fallback"``/``"wire"``).
-    The payload travels as pre-encoded JSON bytes; ``shm_meta`` (when
-    present) names a shared-memory segment to attach zero-copy — *any*
-    attach failure (segment evicted, no numpy, corrupt header) falls back
-    to resolving the payload itself, so shm is purely an optimisation.
-    ``registry_root`` (the server's persistent relation registry directory)
-    lets workers resolve ``relation_ref`` jobs themselves — each worker's
-    registry keeps its own verified-relation cache, so a tenant hammering
-    one relation decodes it once per worker, not once per job.
+    form), executes ``("job", payload)`` messages through the same
+    :func:`~repro.serve.protocol.execute_payload` path a bare session uses,
+    and replies with the canonical ``repro/run-result-v1`` JSON text.  The
+    payload travels as pre-encoded JSON bytes.  ``registry_root`` (the
+    server's persistent relation registry directory) lets workers resolve
+    ``relation_ref`` jobs themselves — each worker's registry keeps its own
+    verified-relation cache, so a tenant hammering one relation decodes it
+    once per worker, not once per job.
     Job-level exceptions become ``("error", "ExcType: message")`` replies;
     only a dead pipe (parent gone) or ``("exit",)`` ends the loop.
     """
@@ -282,7 +269,6 @@ def _process_worker_main(
 
     pool: SessionPool | None = None
     registry: RelationRegistry | None = None
-    attach_cache = None
     while True:
         try:
             message = conn.recv()
@@ -299,20 +285,6 @@ def _process_worker_main(
                 payload = message[1]
                 if isinstance(payload, (bytes, bytearray)):
                     payload = json.loads(payload)
-                shm_meta = message[2] if len(message) > 2 else None
-                relation = None
-                shm_status = "wire"
-                if shm_meta is not None:
-                    try:
-                        if attach_cache is None:
-                            from ..shm.relation import SegmentAttachCache
-
-                            attach_cache = SegmentAttachCache()
-                        relation = attach_cache.get(shm_meta["name"], shm_meta["hash"])
-                        shm_status = "shm"
-                    except Exception:  # noqa: BLE001 - any miss means wire
-                        relation = None
-                        shm_status = "fallback"
                 if pool is None:
                     configs = None
                     if tenant_configs_payload is not None:
@@ -323,8 +295,8 @@ def _process_worker_main(
                     pool = SessionPool(configs)
                 if registry is None and registry_root is not None:
                     registry = RelationRegistry(registry_root)
-                result = execute_payload(pool, payload, registry=registry, relation=relation)
-                conn.send(("result", json.dumps(result.payload, sort_keys=True), shm_status))
+                result = execute_payload(pool, payload, registry=registry)
+                conn.send(("result", json.dumps(result.payload, sort_keys=True)))
             elif op == "call":
                 conn.send(("value", message[1]()))
             else:
@@ -334,8 +306,6 @@ def _process_worker_main(
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
             except (OSError, ValueError):  # parent gone / unpicklable detail
                 break
-    if attach_cache is not None:
-        attach_cache.close()
 
 
 class _ProcessSlot:
@@ -344,30 +314,25 @@ class _ProcessSlot:
     A slot is driven by at most one queue worker thread at a time (the
     dispatch idle-list hands each slot out exclusively); the lock exists so
     :meth:`ProcessExecutor.close` can safely interleave with a thread that
-    is still mid-``execute`` past the drain deadline.  ``jobs_done`` counts
-    completed jobs since the current worker process spawned — the recycling
-    trigger.
+    is still mid-``execute`` past the drain deadline.
     """
 
-    __slots__ = ("process", "conn", "lock", "busy", "jobs_done")
+    __slots__ = ("process", "conn", "lock", "busy")
 
     def __init__(self) -> None:
         self.process = None
         self.conn = None
         self.lock = threading.Lock()
         self.busy = False
-        self.jobs_done = 0
 
 
 class ProcessExecutor(WorkerExecutor):
-    """An M:N ``multiprocessing`` worker pool behind the queue's threads.
+    """A ``multiprocessing`` worker pool behind the queue's threads.
 
-    M queue worker threads submit through a shared idle list to N worker
-    processes — any free worker serves any thread, so a slow job never
-    idles the other workers of "its" thread (work stealing).  With
-    ``processes`` unset, N matches the queue's worker count (the pre-pool
-    1:1 shape); smaller N queues submissions, larger N gives crash storms
-    spare capacity.
+    :meth:`start` spawns one worker process per queue worker thread.  The
+    threads claim workers from a shared LIFO idle list rather than owning
+    one each, so the most recently released (warmest) worker takes the next
+    job.
 
     Parameters
     ----------
@@ -402,22 +367,6 @@ class ProcessExecutor(WorkerExecutor):
         each worker process opens its own handle on it to resolve
         ``relation_ref`` jobs (``None`` = no registry, by-reference jobs
         are resolved inline by the server before dispatch).
-    processes:
-        Worker-process pool size N (``0`` = match the queue worker count
-        handed to :meth:`start`).
-    max_jobs_per_worker:
-        Recycle a worker process after this many completed jobs: it is
-        asked to exit and a fresh worker spawns lazily on the slot's next
-        job.  Bounds per-worker memory growth (session caches, attached
-        segments); a recycle is *not* a crash — it never touches the
-        supervision budget or the ``respawns`` counter.  ``0`` disables.
-    plane:
-        The parent-owned :class:`~repro.shm.plane.SharedRelationPlane`, or
-        ``None`` to disable the shared-memory path.  The executor leases a
-        segment per execution attempt of every :class:`PreparedTask` that
-        carries a ``shm_hash`` (releasing in ``finally`` — that is how
-        refcounts reconcile when a worker dies mid-job) and closes the
-        plane with itself.
     """
 
     name = "process"
@@ -433,16 +382,7 @@ class ProcessExecutor(WorkerExecutor):
         fallback: bool = False,
         faults: "FaultPlan | None" = None,
         registry_root: str | None = None,
-        processes: int = 0,
-        max_jobs_per_worker: int = 0,
-        plane: "SharedRelationPlane | None" = None,
     ) -> None:
-        if processes < 0:
-            raise ValueError(f"processes must be non-negative, got {processes}")
-        if max_jobs_per_worker < 0:
-            raise ValueError(
-                f"max_jobs_per_worker must be non-negative, got {max_jobs_per_worker}"
-            )
         self._tenant_configs_payload = (
             None
             if tenant_configs_payload is None
@@ -455,9 +395,6 @@ class ProcessExecutor(WorkerExecutor):
         self.faults = faults
         self.supervisor = RestartSupervisor(budget=restart_budget, window=restart_window)
         self.fallback = fallback
-        self.processes = processes
-        self.max_jobs_per_worker = max_jobs_per_worker
-        self.plane = plane
         self._fallback_lock = threading.Lock()
         self._fallback_pool: "SessionPool | None" = None
         self._fallback_registry = None
@@ -467,25 +404,19 @@ class ProcessExecutor(WorkerExecutor):
         self._closed = False
         self._spawned = 0
         self._respawns = 0
-        self._recycled = 0
-        self._shm_jobs = 0
-        self._wire_jobs = 0
-        # M:N dispatch state: the idle list holds slot indices any queue
-        # thread may claim; _active maps queue slot -> worker slot while a
-        # job is in flight (the watchdog's kill_slot lookup).
+        # Dispatch state: the idle list holds slot indices any queue thread
+        # may claim; _active maps queue slot -> worker slot while a job is
+        # in flight (the watchdog's kill_slot lookup).
         self._dispatch = threading.Condition()
         self._idle: list[int] = []
         self._active: dict[int, int] = {}
-        self._queue_threads = 0
 
     # -- lifecycle -------------------------------------------------------------
     def start(self, workers: int) -> None:
-        self._queue_threads = workers
-        count = self.processes or workers
-        self._slots = [_ProcessSlot() for _ in range(count)]
+        self._slots = [_ProcessSlot() for _ in range(workers)]
         # LIFO free list, initialised so slot 0 is claimed first and a
         # just-released (warm) worker is reused before a cold one.
-        self._idle = list(range(count - 1, -1, -1))
+        self._idle = list(range(workers - 1, -1, -1))
         if self.warmup:
             for slot in self._slots:
                 self._spawn(slot)
@@ -504,7 +435,6 @@ class ProcessExecutor(WorkerExecutor):
         process.start()
         child_conn.close()
         slot.process, slot.conn = process, parent_conn
-        slot.jobs_done = 0
         with self._lifecycle:
             self._spawned += 1
 
@@ -566,43 +496,11 @@ class ProcessExecutor(WorkerExecutor):
             self._idle.append(index)
             self._dispatch.notify()
 
-    def _retire(self, slot: _ProcessSlot) -> None:
-        """Recycle a worker that served its job quota (not a crash).
-
-        The worker is asked to exit on its (currently exclusive) pipe and
-        reaped; the slot spawns a fresh process lazily on its next job.
-        Neither the supervision budget nor ``respawns`` is touched.
-        """
-        with slot.lock:
-            process = slot.process
-            if process is None:
-                return
-            try:
-                slot.conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - exit-resistant child
-                process.terminate()
-                process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - kill-resistant child
-                process.kill()
-                process.join(timeout=5.0)
-            if slot.conn is not None:
-                slot.conn.close()
-            slot.process = slot.conn = None
-            slot.jobs_done = 0
-        with self._lifecycle:
-            self._recycled += 1
-
     def execute(self, slot_index: int, task: Any) -> Any:
-        shm_hash = None
         if isinstance(task, PreparedTask):
-            payload_bytes = task.encoded()
-            shm_hash = task.shm_hash
-            message: Any = ("job", payload_bytes, None)
+            message: Any = ("job", task.encoded())
         elif isinstance(task, Mapping):
-            message = ("job", json.dumps(dict(task), sort_keys=True).encode("utf-8"), None)
+            message = ("job", json.dumps(dict(task), sort_keys=True).encode("utf-8"))
         elif callable(task):
             message = ("call", task)
         else:
@@ -613,19 +511,9 @@ class ProcessExecutor(WorkerExecutor):
         if self.fallback and self.supervisor.degraded():
             return self._execute_inline(task)
         faults = self.faults
-        plane = self.plane
         worker_index = self._acquire_worker(slot_index)
         slot = self._slots[worker_index]
-        shm_meta = None
         try:
-            # Lease the relation's segment per attempt: acquire absorbs its
-            # own shm.attach faults (returning None), and the finally below
-            # releases even when the worker dies mid-job — that pairing is
-            # what keeps refcounts reconciled under kill storms.
-            if shm_hash is not None and plane is not None:
-                shm_meta = plane.acquire(shm_hash)
-                if shm_meta is not None:
-                    message = (message[0], message[1], shm_meta)
             with slot.lock:
                 slot.busy = True
                 try:
@@ -644,10 +532,7 @@ class ProcessExecutor(WorkerExecutor):
                         slot.conn.send(message)
                         if faults is not None:
                             faults.fire(SITE_PROCESS_RECV)
-                        reply = slot.conn.recv()
-                        kind, value = reply[0], reply[1]
-                        shm_status = reply[2] if len(reply) > 2 else None
-                        slot.jobs_done += 1
+                        kind, value = slot.conn.recv()
                     except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
                         pid, exitcode, respawned = self._reap_and_respawn(slot)
                         detail = (
@@ -661,22 +546,9 @@ class ProcessExecutor(WorkerExecutor):
                         ) from exc
                 finally:
                     slot.busy = False
-            if (
-                self.max_jobs_per_worker
-                and slot.jobs_done >= self.max_jobs_per_worker
-                and not self._closed
-            ):
-                self._retire(slot)
         finally:
-            if shm_meta is not None:
-                plane.release(shm_hash)
             self._release_worker(slot_index, worker_index)
         if kind == "result":
-            with self._lifecycle:
-                if shm_status == "shm":
-                    self._shm_jobs += 1
-                else:
-                    self._wire_jobs += 1
             from ..session import RunResult
 
             return RunResult(json.loads(value))
@@ -725,8 +597,8 @@ class ProcessExecutor(WorkerExecutor):
         """SIGKILL the worker running queue slot ``slot_index``'s job.
 
         The deadline watchdog's lever.  The queue thread's slot is mapped to
-        its current worker through the dispatch table (M:N: any worker may
-        be serving this thread); the kill itself is lock-free — the worker
+        its current worker through the dispatch table (any worker may be
+        serving this thread); the kill itself is lock-free — the worker
         slot's lock is held by the queue thread blocked on the reply, and
         the kill is what unblocks it (its ``recv`` fails, the slot reaps and
         respawns).  The unavoidable race with a concurrent respawn at worst
@@ -794,10 +666,6 @@ class ProcessExecutor(WorkerExecutor):
                     slot.process = slot.conn = None
                 finally:
                     slot.lock.release()
-        # The plane unlinks last: every worker that could attach by name is
-        # gone, so nothing keeps segment names alive past close.
-        if self.plane is not None:
-            self.plane.close()
 
     # -- diagnostics -----------------------------------------------------------
     def worker_pids(self) -> list[int | None]:
@@ -819,29 +687,20 @@ class ProcessExecutor(WorkerExecutor):
         alive = sum(1 for entry in slots if entry["alive"])
         with self._lifecycle:
             spawned, respawns = self._spawned, self._respawns
-            recycled = self._recycled
-            shm_jobs, wire_jobs = self._shm_jobs, self._wire_jobs
         with self._fallback_lock:
             fallback_jobs = self._fallback_jobs
         supervision = self.supervisor.snapshot()
-        plane = self.plane
         return {
             "executor": self.name,
             "workers": len(self._slots),
-            "queue_threads": self._queue_threads,
             "alive": alive,
             "slots": slots,
             "spawned": spawned,
             "respawns": respawns,
-            "recycled": recycled,
-            "max_jobs_per_worker": self.max_jobs_per_worker,
-            "shm_jobs": shm_jobs,
-            "wire_jobs": wire_jobs,
             "start_method": self.start_method,
             "host_cpu_count": os.cpu_count(),
             "fallback": self.fallback,
             "fallback_jobs": fallback_jobs,
-            "shm": plane.stats() if plane is not None else {"enabled": False},
             **supervision,
         }
 
@@ -856,27 +715,11 @@ def make_executor(
     fallback: bool = False,
     faults: "FaultPlan | None" = None,
     registry_root: str | None = None,
-    processes: int = 0,
-    max_jobs_per_worker: int = 0,
-    shm_bytes: int = 0,
 ) -> WorkerExecutor:
-    """Build a :class:`WorkerExecutor` from its CLI/config name.
-
-    ``shm_bytes`` > 0 attaches a :class:`~repro.shm.plane.SharedRelationPlane`
-    to the process executor when the host supports it (``/dev/shm`` +
-    numpy); on other hosts — and always for the thread executor, which
-    shares the server's memory anyway — the flag is silently inert and jobs
-    use the wire.
-    """
+    """Build a :class:`WorkerExecutor` from its CLI/config name."""
     if kind == "thread":
         return ThreadExecutor(faults=faults)
     if kind == "process":
-        plane = None
-        if shm_bytes > 0:
-            from ..shm.plane import SharedRelationPlane, plane_available
-
-            if plane_available():
-                plane = SharedRelationPlane(shm_bytes, faults=faults)
         return ProcessExecutor(
             tenant_configs_payload=tenant_configs_payload,
             start_method=start_method,
@@ -886,8 +729,5 @@ def make_executor(
             fallback=fallback,
             faults=faults,
             registry_root=registry_root,
-            processes=processes,
-            max_jobs_per_worker=max_jobs_per_worker,
-            plane=plane,
         )
     raise ValueError(f"unknown executor kind {kind!r}: expected one of {EXECUTOR_KINDS}")

@@ -18,7 +18,7 @@ DELETE ``/jobs/<id>``      cancel a queued job → 200 ``{"cancelled": ...}``
 PUT    ``/relations``      store a relation by content → 200 ref payload
 GET    ``/relations/<h>``  fetch a stored relation → 200 entry, 404 unknown
 GET    ``/healthz``        executor liveness → 200 healthy, 503 degraded
-GET    ``/stats``          queue + pool + executor + registry + shm counters
+GET    ``/stats``          queue + pool + executor + registry counters
 ====== =================== ==========================================
 """
 
@@ -77,15 +77,6 @@ class Server:
     ready :class:`~repro.serve.faults.FaultPlan`) arms deterministic fault
     injection for chaos testing.
 
-    Process-pool shape: ``processes`` sizes the worker-process pool
-    independently of the queue's thread count (``0``/``None`` = match it),
-    ``max_jobs_per_worker`` recycles each worker process after that many
-    jobs, and ``shm_bytes`` budgets the zero-copy shared-memory data plane
-    (``0`` disables it; registry-resident relations then travel as per-job
-    JSON).  All three resolve from ``REPRO_SERVE_PROCESSES``/
-    ``REPRO_SERVE_MAX_JOBS_PER_WORKER``/``REPRO_SHM_BYTES`` when ``None``
-    and are inert for thread executors.
-
     ``registry`` wires the content-addressed relation store behind
     ``PUT /relations`` and ``relation_ref`` jobs: a directory path (or a
     ready :class:`~repro.registry.RelationRegistry`) makes it persistent —
@@ -117,9 +108,6 @@ class Server:
         drain_deadline: float | None = None,
         faults: "str | FaultPlan | None" = None,
         registry: "str | RelationRegistry | None" = None,
-        processes: int | None = None,
-        max_jobs_per_worker: int | None = None,
-        shm_bytes: int | None = None,
     ) -> None:
         explicit = {
             "workers": workers,
@@ -133,69 +121,49 @@ class Server:
             "drain_deadline": drain_deadline,
             "faults": faults,
             "registry_dir": registry if isinstance(registry, (str, type(None))) else "",
-            "processes": processes,
-            "max_jobs_per_worker": max_jobs_per_worker,
-            "shm_bytes": shm_bytes,
         }
+        # Only consult the environment for parameters actually left to
+        # default: a fully explicit Server must not fail on (or vary with)
+        # unrelated REPRO_SERVE_* values.
         missing = [name for name, value in explicit.items() if value is None]
-        if missing:
-            # Only consult the environment for parameters actually left to
-            # default: a fully explicit Server must not fail on (or vary
-            # with) unrelated REPRO_SERVE_* values.
-            resolved = ServeConfig.from_env_fields(missing)
-            workers = resolved.get("workers", workers)
-            executor = resolved.get("executor", executor)
-            warmup = resolved.get("warmup", warmup)
-            start_method = resolved.get("start_method", start_method)
-            max_attempts = resolved.get("max_attempts", max_attempts)
-            restart_budget = resolved.get("restart_budget", restart_budget)
-            restart_window = resolved.get("restart_window", restart_window)
-            degraded_fallback = resolved.get("degraded_fallback", degraded_fallback)
-            drain_deadline = resolved.get("drain_deadline", drain_deadline)
-            faults = resolved.get("faults", faults)
-            if registry is None:
-                registry = resolved.get("registry_dir")
-            processes = resolved.get("processes", processes)
-            max_jobs_per_worker = resolved.get("max_jobs_per_worker", max_jobs_per_worker)
-            shm_bytes = resolved.get("shm_bytes", shm_bytes)
+        knobs = {**explicit, **ServeConfig.from_env_fields(missing)}
         # One shared plan: executor sites, queue sites and registry sites
         # count arrivals on the same seeded counters, so a storm spec
         # replays identically.
+        faults = knobs["faults"]
         plan = faults if isinstance(faults, FaultPlan) else FaultPlan.from_spec(faults)
         if not isinstance(registry, RelationRegistry):
             # A path string opens (or creates) the persistent store there;
             # None keeps an in-memory registry so PUT /relations and
             # relation_ref jobs work on any server, just without restart
             # survival or cross-process sharing.
-            registry = RelationRegistry(registry or None, faults=plan)
+            registry = RelationRegistry(knobs["registry_dir"] or None, faults=plan)
         elif registry.faults is None:
             registry.faults = plan
         self.registry = registry
-        self.drain_deadline = drain_deadline
+        self.drain_deadline = knobs["drain_deadline"]
         self.pool = SessionPool(tenant_configs, max_sessions=max_sessions)
+        executor = knobs["executor"]
         if isinstance(executor, str):
             executor = make_executor(
                 executor,
                 tenant_configs_payload=self.pool.configs_payload(),
-                start_method=start_method,
-                warmup=warmup,
-                restart_budget=restart_budget,
-                restart_window=restart_window,
-                fallback=bool(degraded_fallback),
+                start_method=knobs["start_method"],
+                warmup=knobs["warmup"],
+                restart_budget=knobs["restart_budget"],
+                restart_window=knobs["restart_window"],
+                fallback=bool(knobs["degraded_fallback"]),
                 faults=plan,
                 registry_root=str(registry.root) if registry.persistent else None,
-                processes=processes or 0,
-                max_jobs_per_worker=max_jobs_per_worker or 0,
-                shm_bytes=shm_bytes or 0,
             )
         self.executor = executor
         self.queue = JobQueue(
-            workers=workers,
+            workers=knobs["workers"],
             max_queue=max_queue,
             max_inflight_per_tenant=max_inflight_per_tenant,
             default_timeout=default_timeout,
             executor=executor,
-            max_attempts=max_attempts,
+            max_attempts=knobs["max_attempts"],
             faults=plan,
         )
 
@@ -225,23 +193,14 @@ class Server:
 
         if self.executor.remote:
             payload: dict[str, Any] = request.to_payload()
-            shm_hash = None
-            if request.relation_ref is not None:
-                relation = self.registry.get(request.relation_ref)
-                if not self.registry.persistent:
-                    # Worker processes cannot see an in-memory registry; ship
-                    # the resolved relation inline instead (refs stay a pure
-                    # client-side optimisation either way).
-                    payload.pop("relation_ref")
-                    payload["relation"] = relation_to_payload(relation)
-                plane = getattr(self.executor, "plane", None)
-                if plane is not None:
-                    # Publish is idempotent by content hash and may decline
-                    # (budget, non-scalar values) — then shm_hash stays None
-                    # and the job simply travels the wire it carries anyway.
-                    shm_hash = plane.publish(relation)
+            if request.relation_ref is not None and not self.registry.persistent:
+                # Worker processes cannot see an in-memory registry; ship
+                # the resolved relation inline instead (refs stay a pure
+                # client-side optimisation either way).
+                payload.pop("relation_ref")
+                payload["relation"] = relation_to_payload(self.registry.get(request.relation_ref))
             # Serialised once here; every retry attempt reuses the bytes.
-            task: Any = PreparedTask(payload, shm_hash=shm_hash)
+            task: Any = PreparedTask(payload)
         else:
 
             def run(request: JobRequest = request) -> RunResult:
@@ -311,13 +270,11 @@ class Server:
     # -- bookkeeping -----------------------------------------------------------
     def stats(self) -> dict[str, Any]:
         """Queue, pool and executor counters (what ``GET /stats`` returns)."""
-        executor_stats = self.executor.stats()
         return {
             "queue": self.queue.stats(),
             "pool": self.pool.stats(),
-            "executor": executor_stats,
+            "executor": self.executor.stats(),
             "registry": self.registry.stats(),
-            "shm": executor_stats.get("shm", {"enabled": False}),
         }
 
     def health(self) -> dict[str, Any]:

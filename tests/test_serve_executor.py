@@ -27,7 +27,9 @@ from repro.serve import (
     CANCELLED,
     DONE,
     FAILED,
+    FaultPlan,
     JobQueue,
+    PreparedTask,
     ProcessExecutor,
     QueueFull,
     Server,
@@ -348,6 +350,23 @@ class TestProcessExecutorInternals:
         finally:
             queue.close()
 
+    def test_pool_matches_queue_workers_and_reuses_the_warm_worker(self):
+        executor = ProcessExecutor(warmup=False)
+        queue = JobQueue(workers=2, executor=executor)
+        try:
+            pids = set()
+            for _ in range(3):
+                job = queue.submit("acme", partial(os.getpid))
+                assert job.wait(WAIT) and job.status == DONE
+                pids.add(job.result)
+            assert len(pids) == 1  # the just-released worker takes the next job
+            stats = executor.stats()
+            assert stats["workers"] == 2 and len(stats["slots"]) == 2
+            assert stats["spawned"] == 1 and stats["respawns"] == 0
+            assert json.dumps(stats, sort_keys=True)  # JSON-serialisable for /stats
+        finally:
+            queue.close()
+
     def test_rejects_unserialisable_tasks(self):
         executor = ProcessExecutor(warmup=False)
         queue = JobQueue(workers=1, executor=executor)
@@ -365,3 +384,32 @@ class TestProcessExecutorInternals:
         via_payload = execute_payload(pool, payload)
         direct = Session().validate(make_relation(), ["a -> b"])
         assert via_payload.artifact_fingerprint() == direct.artifact_fingerprint()
+
+
+class TestSerialiseOnce:
+    def test_retries_reuse_the_submitted_bytes(self):
+        # Two kills then success: three attempts, one serialisation.
+        plan = FaultPlan.from_spec("seed=3;process.kill:kill:p=1.0:times=2")
+        executor = ProcessExecutor(faults=plan, warmup=False)
+        queue = JobQueue(workers=1, executor=executor, max_attempts=4, faults=plan)
+        try:
+            pool = SessionPool()
+            inline = {
+                "schema": "repro/job-request-v1",
+                "tenant": "acme",
+                "kind": "validate",
+                "relation": relation_to_payload(make_relation()),
+                "params": {"fds": ["a -> b"]},
+                "overrides": {},
+            }
+            task = PreparedTask(inline)
+            job = queue.submit("acme", task)
+            assert job.wait(WAIT)
+            assert job.status == DONE
+            assert job.attempts == 3
+            assert task.serialisations == 1  # attempt 2 and 3 reused the bytes
+            assert job.result.artifact_fingerprint() == execute_payload(
+                pool, inline
+            ).artifact_fingerprint()
+        finally:
+            queue.close()

@@ -141,6 +141,7 @@ class TestFaultSpec:
             ("thread.run", "site:kind"),
             ("thread.run:explode", "unknown fault kind"),
             ("warp.core:error", "matches no known site"),
+            ("shm.attach:error", "matches no known site"),
             ("thread.run:error:p=2", "probability"),
             ("thread.run:delay:ms=-1", "delay_ms"),
             ("thread.run:error:times=0", "times"),
