@@ -363,7 +363,6 @@ class TestProcessExecutorInternals:
             stats = executor.stats()
             assert stats["workers"] == 2 and len(stats["slots"]) == 2
             assert stats["spawned"] == 1 and stats["respawns"] == 0
-            assert json.dumps(stats, sort_keys=True)  # JSON-serialisable for /stats
         finally:
             queue.close()
 
@@ -384,6 +383,31 @@ class TestProcessExecutorInternals:
         via_payload = execute_payload(pool, payload)
         direct = Session().validate(make_relation(), ["a -> b"])
         assert via_payload.artifact_fingerprint() == direct.artifact_fingerprint()
+
+
+class TestStatsSurface:
+    def test_stats_exposes_the_pool_block(self, tmp_path):
+        with Server(workers=2, executor="process", registry=str(tmp_path / "registry")) as server:
+            ref = server.put_relation(make_relation())["hash"]
+            ticket = server.submit(
+                {
+                    "schema": "repro/job-request-v1",
+                    "tenant": "acme",
+                    "kind": "validate",
+                    "relation_ref": ref,
+                    "params": {"fds": ["a -> b", "c -> d"]},
+                    "overrides": {},
+                }
+            )
+            server.result(ticket.job_id, timeout=WAIT)
+            stats = server.stats()
+            assert set(stats) == {"queue", "pool", "executor", "registry"}
+            executor = stats["executor"]
+            assert executor["executor"] == "process"
+            assert executor["workers"] == 2  # one worker per queue thread
+            assert len(executor["slots"]) == 2
+            assert executor["spawned"] == 2 and executor["respawns"] == 0
+            assert json.dumps(stats, sort_keys=True)  # JSON-serialisable for /stats
 
 
 class TestSerialiseOnce:
