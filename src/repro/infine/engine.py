@@ -13,9 +13,9 @@ specification:
 
 The engine never materialises the full view with all of its attributes: base
 instances are projected onto the needed attributes up front, reductions are
-semi-joins, inference is purely logical, and the join needed by the selective
-mining is materialised lazily, only when a candidate actually requires data
-access.
+semi-joins, and each join node materialises its join once, with one
+partition cache that the ``refine`` step of inference and the selective
+mining share.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from ..discovery.registry import make_algorithm
 from ..fd.fd import FD
 from ..fd.fdset import FDSet
 from ..relational.algebra import equi_join, project
+from ..relational.partition import make_partition_cache
 from ..relational.relation import Relation
 from ..relational.view import (
     BaseRelationSpec,
@@ -232,7 +233,7 @@ class InFine:
                 child_fds,
                 sorted(needed),
                 spec.describe(),
-                self.max_lhs_size,
+                self.base_algorithm,
             )
         stats.upstage_candidates_checked += outcome.candidates_checked
         provenance = self._combine(child.provenance, outcome.triples)
@@ -264,7 +265,7 @@ class InFine:
                 right_fds,
                 sorted(needed),
                 subquery,
-                self.max_lhs_size,
+                self.base_algorithm,
             )
         stats.upstage_candidates_checked += upstaged.candidates_checked
 
@@ -272,11 +273,25 @@ class InFine:
         right_full = right_fds + upstaged.right_fds
         carried = left_fds + right_fds + upstaged.left_fds + upstaged.right_fds
 
+        # The node's join, built once for inferFDs and mineFDs and reused as
+        # the instance of enclosing operators (counted as part of mineFDs,
+        # like the partial SPJ of the paper).
+        with timings.measure("mineFDs"):
+            joined = equi_join(
+                left.instance,
+                right.instance,
+                spec.left_on,
+                spec.right_on,
+                kind=spec.kind,
+                name=subquery,
+            )
+            cache = make_partition_cache(joined)
+
         # Step: inferFDs (Algorithm 4).
         with timings.measure("inferFDs"):
             inferred = infer_join_fds(
-                left.instance,
-                right.instance,
+                joined,
+                cache,
                 spec.left_on,
                 spec.right_on,
                 spec.kind,
@@ -289,12 +304,14 @@ class InFine:
         stats.infer_candidates_checked += inferred.candidates_checked
         stats.raw_inferred += inferred.raw_inferred
 
-        # Step: mineFDs (Algorithm 5), including the lazy partial join.
+        # Step: mineFDs (Algorithm 5).
         known = carried + inferred.fds
         with timings.measure("mineFDs"):
             mined = mine_join_fds(
-                left.instance,
-                right.instance,
+                joined,
+                cache,
+                left.instance.attribute_names,
+                right.instance.attribute_names,
                 spec.left_on,
                 spec.right_on,
                 spec.kind,
@@ -308,34 +325,17 @@ class InFine:
             )
         stats.mine_candidates_validated += mined.candidates_validated
         stats.mine_candidates_pruned_logically += mined.candidates_pruned_logically
-        if mined.join_materialised:
+        # The join counts as a partial join of the paper only where the
+        # mining needed its data.
+        if mined.candidates_validated:
             stats.partial_joins_materialised += 1
-            stats.partial_join_rows += mined.partial_join_rows
+            stats.partial_join_rows += len(joined)
 
         provenance = self._combine(
             left.provenance.merge(right.provenance),
             list(upstaged.triples) + list(inferred.triples) + list(mined.triples),
         )
-
-        # The node instance for enclosing operators: reuse the join
-        # materialised by mineFDs when available, otherwise compute it now
-        # (counted as part of mineFDs, like the partial SPJ of the paper).
-        with timings.measure("mineFDs"):
-            if mined.joined is not None:
-                instance = mined.joined
-            else:
-                instance = equi_join(
-                    left.instance,
-                    right.instance,
-                    spec.left_on,
-                    spec.right_on,
-                    kind=spec.kind,
-                    name=subquery,
-                )
-            keep = [a for a in instance.attribute_names if a in needed]
-            if keep and len(keep) != instance.arity:
-                instance = project(instance, keep, name=instance.name)
-        return _NodeResult(instance=instance, provenance=provenance)
+        return _NodeResult(instance=joined, provenance=provenance)
 
     # -- helpers --------------------------------------------------------------
     @staticmethod

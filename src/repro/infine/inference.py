@@ -10,8 +10,8 @@ The ``infer`` subroutine enumerates exactly those transitive FDs from the
 FD covers of the two inputs — a pure logical step with negligible cost.  The
 ``refine`` subroutine then minimises the left-hand sides: a subset of the
 determinant may already determine ``b`` on the join even though this cannot
-be proved logically; such refinements are checked against a *partial join*
-restricted to the join attributes, the determinant and ``b``.
+be proved logically; such refinements are probed on the node's join, whose
+partition cache the engine builds once and shares with ``mineFDs``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 from ..fd.closure import transitive_fds_through
 from ..fd.fd import FD
-from ..relational.algebra import JoinKind, equi_join, project
-from ..relational.partition import fd_holds_fast, make_partition_cache
+from ..relational.algebra import JoinKind
+from ..relational.partition import PartitionCache, fd_holds_fast
 from ..relational.relation import Relation
 from .provenance import FDType, ProvenanceTriple
 
@@ -36,15 +36,15 @@ class InferenceOutcome:
     triples: list[ProvenanceTriple] = field(default_factory=list)
     #: The inferred FDs (also contained in ``triples``).
     fds: list[FD] = field(default_factory=list)
-    #: Number of candidate refinements validated against partial joins.
+    #: Number of candidate refinements validated against the node's join.
     candidates_checked: int = 0
     #: Number of raw FDs obtained by pure logical inference (before refinement).
     raw_inferred: int = 0
 
 
 def infer_join_fds(
-    left_instance: Relation,
-    right_instance: Relation,
+    joined: Relation,
+    cache: PartitionCache,
     left_on: Sequence[str],
     right_on: Sequence[str],
     kind: JoinKind,
@@ -59,13 +59,14 @@ def infer_join_fds(
 
     Parameters
     ----------
-    left_instance, right_instance:
-        The materialised join inputs, used only to build the *partial joins*
-        of the refinement step.
+    joined, cache:
+        The node's join of its two (reduced) inputs and its partition cache,
+        probed by the refinement step.
     left_on, right_on:
         The join attributes of each side.
     kind:
-        The join operator (the refinement partial joins use the same operator).
+        The join operator.  A semi-join keeps one side's attributes only, so
+        its inferred FDs are not refined.
     left_fds, right_fds:
         Complete FD covers of the (reduced) join inputs.
     known_fds:
@@ -90,9 +91,6 @@ def infer_join_fds(
     raw.extend(_join_attribute_equalities(left_on, right_on))
     outcome.raw_inferred = len(raw)
 
-    left_attrs = set(left_instance.attribute_names)
-    right_attrs = set(right_instance.attribute_names)
-
     kept: list[FD] = []
     seen: set[FD] = set()
     for dependency in sorted(set(raw), key=FD.sort_key):
@@ -101,18 +99,8 @@ def infer_join_fds(
         refinements = [dependency]
         # Refinement only matters for determinants with at least two
         # attributes (a singleton LHS has no proper non-empty subset).
-        if refine_with_data and 1 < len(dependency.lhs) <= max_refine_lhs:
-            refinements = _refine(
-                dependency,
-                left_instance,
-                right_instance,
-                left_on,
-                right_on,
-                kind,
-                left_attrs,
-                right_attrs,
-                outcome,
-            )
+        if refine_with_data and not kind.is_semi and 1 < len(dependency.lhs) <= max_refine_lhs:
+            refinements = _refine(dependency, joined, cache, outcome)
         for refined in refinements:
             if refined in seen:
                 continue
@@ -169,34 +157,14 @@ def _join_attribute_equalities(
 
 
 def _refine(
-    dependency: FD,
-    left_instance: Relation,
-    right_instance: Relation,
-    left_on: Sequence[str],
-    right_on: Sequence[str],
-    kind: JoinKind,
-    left_attrs: set[str],
-    right_attrs: set[str],
-    outcome: InferenceOutcome,
+    dependency: FD, joined: Relation, cache: PartitionCache, outcome: InferenceOutcome
 ) -> list[FD]:
-    """The ``refine`` subroutine: minimise a determinant using a partial join.
+    """The ``refine`` subroutine: minimise a determinant on the node's join.
 
-    Only the join attributes, the determinant and the dependent attribute are
-    materialised (line #19 of Algorithm 4), so the partial join stays narrow
-    even when the view is wide.
+    Each proper subset of the determinant is probed as one partition of the
+    shared cache (line #19 of Algorithm 4), smallest subsets first.
     """
-    partial = _partial_join(
-        dependency, left_instance, right_instance, left_on, right_on, kind, left_attrs, right_attrs
-    )
-    if partial is None:
-        return [dependency]
-
-    cache = make_partition_cache(partial)
-    available = set(partial.attribute_names)
-    lhs_attributes = sorted(dependency.lhs & available)
-    if dependency.rhs not in available or len(lhs_attributes) != len(dependency.lhs):
-        return [dependency]
-
+    lhs_attributes = sorted(dependency.lhs)
     minimal: list[FD] = []
     for size in range(1, len(lhs_attributes)):
         for subset in combinations(lhs_attributes, size):
@@ -205,38 +173,6 @@ def _refine(
             outcome.candidates_checked += 1
             # Probe the subset partition against the cached RHS column codes
             # instead of materialising the subset ∪ {rhs} partition.
-            if fd_holds_fast(partial, cache.get(subset), dependency.rhs):
+            if fd_holds_fast(joined, cache.get(subset), dependency.rhs):
                 minimal.append(FD(subset, dependency.rhs))
     return minimal if minimal else [dependency]
-
-
-def _partial_join(
-    dependency: FD,
-    left_instance: Relation,
-    right_instance: Relation,
-    left_on: Sequence[str],
-    right_on: Sequence[str],
-    kind: JoinKind,
-    left_attrs: set[str],
-    right_attrs: set[str],
-) -> Relation | None:
-    """Materialise the partial join needed to refine one inferred FD."""
-    needed = set(dependency.lhs) | {dependency.rhs}
-    left_needed = sorted((needed & left_attrs) | set(left_on))
-    right_needed = sorted((needed & right_attrs - set(left_attrs)) | set(right_on))
-    if kind.is_semi:
-        # Semi-join outputs carry only one side; refinement happens on that side.
-        side = left_instance if kind is JoinKind.LEFT_SEMI else right_instance
-        keep = [a for a in side.attribute_names if a in needed or a in set(left_on) | set(right_on)]
-        return project(side, keep) if keep else None
-    try:
-        return equi_join(
-            project(left_instance, left_needed),
-            project(right_instance, right_needed),
-            left_on,
-            right_on,
-            kind=kind,
-            name="partial_join",
-        )
-    except Exception:  # pragma: no cover - defensive: fall back to no refinement
-        return None

@@ -3,11 +3,18 @@
 Join FDs (Definition 7) mix attributes of both join inputs and cannot be
 obtained by logical inference (Theorem 3); they must be validated against
 join data.  The selective mining implemented here avoids the full-view FD
-discovery of the straightforward approach by combining three prunings:
+discovery of the straightforward approach: it walks the LHS lattice of the
+node's join once, level by level, for every RHS at the same time (each
+level maps an LHS to its open RHS set), and combines four prunings:
 
 * **domination** — candidates whose LHS contains the LHS of an already known
-  FD with the same RHS cannot be minimal and are neither validated nor
-  expanded;
+  or found FD with the same RHS cannot be minimal and are neither validated
+  nor expanded;
+* **free sets** — an LHS ``X`` with some ``B ∈ X`` in the known closure of
+  ``X ∖ {B}`` is dropped with all of its supersets, as in FUN (Novelli &
+  Cicchetti, ICDT 2001): the known FDs hold on the join (an assumption
+  that NULL padding breaks on outer joins), so ``π(X) = π(X ∖ {B})``
+  there and no minimal FD has such a determinant;
 * **Armstrong shortcut** — candidates implied by the FDs already known to
   hold on the join are valid by construction and need no data access (they
   are classified as *inferred*, per Definition 6);
@@ -15,23 +22,19 @@ discovery of the straightforward approach by combining three prunings:
   join attributes are ``Y`` can only hold if ``Y A' -> b`` holds on that
   side, which is decided from the side's FD cover without touching the join.
 
-Only when a candidate survives all three prunings is the (partial) join
-materialised — lazily, once — and the candidate checked with stripped
-partitions.  LHS partitions come from one
-:func:`~repro.relational.partition.make_partition_cache` per join node, so
-the active ``EngineConfig.partition_cache_max_positions`` bounds it like
-every other algorithm-owned cache (unbounded by default).  Data validations
-run on the pluggable partition backend (``fd_holds_fast`` probes the LHS
-partition's groups against the cached RHS column codes — a boolean-mask
-pass on the numpy fast path, an early-exit scan on the pure-python
-fallback); candidates here are validated one by one because each verdict
-feeds the Armstrong/domination prunings of the very next candidate, unlike
-the independent levels batched by TANE/FUN.
+The candidates that survive are validated a whole level at a time, with one
+:func:`~repro.relational.partition.validate_level` call on the join, as in
+TANE (Huhtala et al., 1999).  Batching cannot change a verdict: two
+candidates of one level have LHSs of equal size, so neither dominates the
+other, and the known closures do not depend on the FDs found so far.  LHS
+partitions come from the partition cache the engine builds once per join
+node and shares with ``inferFDs``, so the active
+``EngineConfig.partition_cache_max_positions`` bounds it like every other
+algorithm-owned cache (unbounded by default).
 
-The closures the prunings consult are memoised per call: the side closures
-of Theorem 4 by the candidate's same-side LHS part (the side covers never
-change within a join node), and closures over ``known + found`` until the
-next discovered FD makes them stale.
+The closures the prunings consult are memoised per call: the known closures
+by LHS, and the side closures of Theorem 4 by the candidate's same-side LHS
+part (the side covers never change within a join node).
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from typing import Iterable, Sequence
 
 from ..fd.closure import FDIndex
 from ..fd.fd import FD
-from ..relational.algebra import JoinKind, equi_join
-from ..relational.partition import PartitionCache, fd_holds_fast, make_partition_cache
+from ..relational.algebra import JoinKind
+from ..relational.partition import PartitionCache, validate_level
 from ..relational.relation import Relation
 from .provenance import FDType, ProvenanceTriple
 
@@ -56,21 +59,17 @@ class JoinMiningOutcome:
     triples: list[ProvenanceTriple] = field(default_factory=list)
     #: The discovered FDs (also contained in ``triples``).
     fds: list[FD] = field(default_factory=list)
-    #: Number of candidates validated against the (partial) join data.
+    #: Number of candidates validated against the join data.
     candidates_validated: int = 0
     #: Number of candidates handled purely logically (Armstrong or Theorem 4).
     candidates_pruned_logically: int = 0
-    #: Whether the partial join had to be materialised at all.
-    join_materialised: bool = False
-    #: Number of rows of the materialised partial join (0 if not materialised).
-    partial_join_rows: int = 0
-    #: The materialised partial join, if any (reused by the engine for enclosing nodes).
-    joined: Relation | None = None
 
 
 def mine_join_fds(
-    left_instance: Relation,
-    right_instance: Relation,
+    joined: Relation,
+    cache: PartitionCache,
+    left_attributes: Sequence[str],
+    right_attributes: Sequence[str],
     left_on: Sequence[str],
     right_on: Sequence[str],
     kind: JoinKind,
@@ -86,8 +85,12 @@ def mine_join_fds(
 
     Parameters
     ----------
-    left_instance, right_instance:
-        The materialised join inputs (restricted to needed attributes).
+    joined:
+        The node's join of its two (reduced) inputs.
+    cache:
+        The partition cache of ``joined``.
+    left_attributes, right_attributes:
+        The attributes of each join input.
     left_on, right_on:
         The join attributes of each side.
     kind:
@@ -113,14 +116,8 @@ def mine_join_fds(
         # there is no room for join FDs.
         return outcome
 
-    left_side = set(left_instance.attribute_names)
-    right_side = set(right_instance.attribute_names)
-    dropped_right = {rgt for lft, rgt in zip(left_on, right_on) if lft == rgt}
-    output_attrs = tuple(left_instance.attribute_names) + tuple(
-        a for a in right_instance.attribute_names if a not in dropped_right
-    )
     allowed = set(attributes)
-    view_attrs = [a for a in output_attrs if a in allowed]
+    view_attrs = [a for a in joined.attribute_names if a in allowed]
     if len(view_attrs) < 2:
         return outcome
 
@@ -129,25 +126,22 @@ def mine_join_fds(
     right_cover = list(right_fds)
     left_cover_index = FDIndex(left_cover)
     right_cover_index = FDIndex(right_cover)
+    left_side = set(left_attributes)
+    right_side = set(right_attributes)
     left_join_attrs = set(left_on)
     right_join_attrs = set(right_on)
-    found: list[FD] = []
     max_size = max_lhs_size if max_lhs_size is not None else len(view_attrs) - 1
 
-    joined: Relation | None = None
-    joined_attrs: frozenset[str] = frozenset()
-    cache: PartitionCache | None = None
-    closure_cache: dict[frozenset[str], frozenset[str]] = {}
     known_index = FDIndex(known)
-    # Closures over `known + found` are memoised until the mining discovers a
-    # new FD; the first closure asked after a discovery re-indexes and starts
-    # a fresh memo.
-    combined_index = known_index
-    combined_cache: dict[frozenset[str], frozenset[str]] = {}
-    combined_stale = False
+    closure_cache: dict[frozenset[str], frozenset[str]] = {}
     # Theorem 4 side closures, keyed by the candidate's same-side LHS part.
     left_closures: dict[frozenset[str], frozenset[str]] = {}
     right_closures: dict[frozenset[str], frozenset[str]] = {}
+    # Per RHS, the LHSs of the known and found FDs that dominate candidates.
+    dominating: dict[str, list[frozenset[str]]] = {rhs: [] for rhs in view_attrs}
+    for dependency in known:
+        if dependency.rhs in dominating:
+            dominating[dependency.rhs].append(dependency.lhs)
 
     def known_closure(lhs: frozenset[str]) -> frozenset[str]:
         cached = closure_cache.get(lhs)
@@ -156,40 +150,18 @@ def mine_join_fds(
             closure_cache[lhs] = cached
         return cached
 
-    def combined_closure(lhs: frozenset[str]) -> frozenset[str]:
-        nonlocal combined_index, combined_stale
-        if combined_stale:
-            combined_index = FDIndex(known + found)
-            combined_cache.clear()
-            combined_stale = False
-        cached = combined_cache.get(lhs)
-        if cached is None:
-            cached = combined_index.closure(lhs)
-            combined_cache[lhs] = cached
-        return cached
+    def is_free(lhs: frozenset[str]) -> bool:
+        return not any(b in known_closure(lhs - {b}) for b in lhs)
 
-    def materialise_join() -> tuple[Relation, PartitionCache]:
-        nonlocal joined, joined_attrs, cache
-        if joined is None:
-            joined = equi_join(
-                left_instance, right_instance, left_on, right_on, kind=kind,
-                name=f"partial({subquery})",
-            )
-            joined_attrs = frozenset(joined.attribute_names)
-            cache = make_partition_cache(joined)
-            outcome.join_materialised = True
-            outcome.partial_join_rows = len(joined)
-            outcome.joined = joined
-        assert cache is not None
-        return joined, cache
+    def record(lhs: frozenset[str], rhs: str, fd_type: FDType) -> None:
+        dominating[rhs].append(lhs)
+        outcome.triples.append(ProvenanceTriple(FD(lhs, rhs), fd_type, subquery))
 
+    targets = []
     for rhs in view_attrs:
-        other_attrs = [a for a in view_attrs if a != rhs]
-        dominating = [f.lhs for f in known if f.rhs == rhs]
-        in_left = rhs in left_side
-        in_right = rhs in right_side or rhs in dropped_right
         if use_theorem4 and not _rhs_is_plausible(
-            rhs, in_left, in_right, left_join_attrs, right_join_attrs, left_cover, right_cover
+            rhs, rhs in left_side, rhs in right_side,
+            left_join_attrs, right_join_attrs, left_cover, right_cover,
         ):
             # No minimal FD of the side owning ``rhs`` involves that side's
             # join attributes in its determinant, so by Theorem 4 no
@@ -197,74 +169,60 @@ def mine_join_fds(
             # right-hand side without generating any candidate.
             outcome.candidates_pruned_logically += 1
             continue
+        targets.append(rhs)
 
-        alive: list[frozenset[str]] = [frozenset({a}) for a in other_attrs]
-        size = 1
-        while alive and size <= max_size:
-            expandable: list[frozenset[str]] = []
-            for lhs in sorted(alive, key=lambda s: tuple(sorted(s))):
-                if any(d <= lhs for d in dominating):
+    position = {attribute: index for index, attribute in enumerate(view_attrs)}
+    level: dict[frozenset[str], set[str]] = {frozenset({a}): set(targets) for a in view_attrs}
+    size = 1
+    while level and size <= max_size:
+        expandable: dict[frozenset[str], list[str]] = {}
+        queued: list[tuple[frozenset[str], str]] = []
+        for lhs, open_rhs in level.items():
+            if not is_free(lhs):
+                continue
+            for rhs in sorted(open_rhs - lhs, key=position.__getitem__):
+                if any(d <= lhs for d in dominating[rhs]):
                     continue  # dominated: neither minimal nor worth expanding
                 attrs = lhs | {rhs}
-                crosses = not attrs <= left_side and not attrs <= (right_side | dropped_right)
-                if not crosses:
+                if attrs <= left_side or attrs <= right_side:
                     # Entirely single-sided and not dominated by that side's
                     # complete FD set: it cannot hold, but supersets that add
                     # attributes from the other side still can.
-                    expandable.append(lhs)
-                    continue
-                closure = known_closure(lhs)
-                if rhs in closure:
+                    expandable.setdefault(lhs, []).append(rhs)
+                elif rhs in known_closure(lhs):
                     # Valid by Armstrong reasoning over FDs carried from the
                     # inputs: an inferred FD (Definition 6), no data access.
                     outcome.candidates_pruned_logically += 1
-                    dependency = FD(lhs, rhs)
-                    found.append(dependency)
-                    dominating.append(lhs)
-                    combined_stale = True
-                    outcome.triples.append(
-                        ProvenanceTriple(dependency, FDType.INFERRED, subquery)
-                    )
-                    continue
-                if rhs in combined_closure(lhs):
-                    # Valid, but only thanks to previously mined join FDs: it
-                    # is a join FD itself (Definition 7), still no data access.
-                    outcome.candidates_pruned_logically += 1
-                    dependency = FD(lhs, rhs)
-                    found.append(dependency)
-                    dominating.append(lhs)
-                    combined_stale = True
-                    outcome.triples.append(
-                        ProvenanceTriple(dependency, FDType.JOIN, subquery)
-                    )
-                    continue
-                if use_theorem4 and not _theorem4_admits(
-                    lhs, rhs, in_left, in_right,
+                    record(lhs, rhs, FDType.INFERRED)
+                elif use_theorem4 and not _theorem4_admits(
+                    lhs, rhs, rhs in left_side, rhs in right_side,
                     left_side, right_side, left_join_attrs, right_join_attrs,
                     left_cover_index, right_cover_index, left_closures, right_closures,
                 ):
                     # The candidate cannot hold on the join (Theorem 4);
                     # supersets adding same-side attributes may still hold.
                     outcome.candidates_pruned_logically += 1
-                    expandable.append(lhs)
-                    continue
-                join_instance, join_cache = materialise_join()
-                outcome.candidates_validated += 1
-                usable = lhs <= joined_attrs and rhs in joined_attrs
-                if usable and fd_holds_fast(join_instance, join_cache.get(lhs), rhs):
-                    dependency = FD(lhs, rhs)
-                    found.append(dependency)
-                    dominating.append(lhs)
-                    combined_stale = True
-                    outcome.triples.append(
-                        ProvenanceTriple(dependency, FDType.JOIN, subquery)
-                    )
+                    expandable.setdefault(lhs, []).append(rhs)
                 else:
-                    expandable.append(lhs)
-            alive = _next_level(expandable, other_attrs)
-            size += 1
+                    queued.append((lhs, rhs))
+        verdicts = validate_level(joined, [(cache.get(lhs), rhs) for lhs, rhs in queued])
+        outcome.candidates_validated += len(queued)
+        for (lhs, rhs), holds in zip(queued, verdicts):
+            if holds:
+                record(lhs, rhs, FDType.JOIN)
+            else:
+                expandable.setdefault(lhs, []).append(rhs)
+        level = {}
+        for lhs, open_rhs in expandable.items():
+            for attribute in view_attrs:
+                if attribute not in lhs:
+                    level.setdefault(lhs | {attribute}, set()).update(open_rhs)
+        size += 1
 
-    outcome.fds = sorted(found, key=FD.sort_key)
+    outcome.triples.sort(
+        key=lambda t: (position[t.dependency.rhs], len(t.dependency.lhs), sorted(t.dependency.lhs))
+    )
+    outcome.fds = sorted((t.dependency for t in outcome.triples), key=FD.sort_key)
     return outcome
 
 
@@ -349,15 +307,3 @@ def _theorem4_admits(
         if rhs in closure:
             return True
     return False
-
-
-def _next_level(
-    expandable: list[frozenset[str]], universe: Sequence[str]
-) -> list[frozenset[str]]:
-    """Generate the next candidate level from the surviving candidates."""
-    next_level: set[frozenset[str]] = set()
-    for lhs in expandable:
-        for attribute in universe:
-            if attribute not in lhs:
-                next_level.add(lhs | {attribute})
-    return sorted(next_level, key=lambda s: tuple(sorted(s)))

@@ -1,26 +1,23 @@
-"""Level-wise mining of *new* FDs on a reduced instance.
+"""Mining of *new* FDs on a reduced instance.
 
 Algorithms 2 (``selectionFDs``) and 3 (``joinUpFDs``) of the paper both rely
 on the same primitive: given an instance that has been reduced by a selection
 or by a semi-join with the other input's join-attribute values, mine the
-minimal FDs that hold on the reduced instance, pruning the candidates that
-are already implied by the FDs known to hold on the *unreduced* input.
+minimal FDs that hold on the reduced instance and keep those that are not
+implied by the FDs known to hold on the *unreduced* input.
 
-The exploration is the level-wise lattice walk of the paper (a TANE-style
-traversal with stripped partitions, inheriting TANE's batched per-level
-candidate validation on the active partition backend); the known FDs feed
-two prunings:
-
-* candidates implied by known FDs are skipped (lines #8–9 of Algorithm 2 and
-  #18–19 of Algorithm 3), and
-* only the FDs that are *not* implied by the known set are reported, since
-  the others carry no new information for the view.
+The mining runs the engine's single-table discovery algorithm (TANE unless
+``InFine(base_algorithm=...)`` names another) on the whole reduced instance.
+The known FDs do not prune that walk: they only filter its output, because
+an FD they imply carries no new information for the view (lines #8–9 of
+Algorithm 2 and #18–19 of Algorithm 3).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from ..discovery.base import FDDiscoveryAlgorithm
 from ..discovery.tane import TANE
 from ..fd.closure import FDIndex
 from ..fd.fd import FD
@@ -31,7 +28,7 @@ def mine_new_fds(
     reduced: Relation,
     attributes: Sequence[str],
     known_fds: Iterable[FD],
-    max_lhs_size: int | None = None,
+    algorithm: FDDiscoveryAlgorithm | None = None,
 ) -> tuple[list[FD], int]:
     """Minimal FDs of ``reduced`` (over ``attributes``) not implied by ``known_fds``.
 
@@ -44,10 +41,10 @@ def mine_new_fds(
         ``AV`` intersected with the instance schema).
     known_fds:
         FDs already known to hold on the unreduced input; by Theorem 1 they
-        keep holding on the reduced instance, so they both prune the search
-        and are excluded from the output.
-    max_lhs_size:
-        Optional cap on the explored LHS size.
+        keep holding on the reduced instance, so they are excluded from the
+        output.
+    algorithm:
+        The discovery algorithm to mine with (default: TANE).
 
     Returns
     -------
@@ -60,7 +57,7 @@ def mine_new_fds(
     if not usable:
         return [], 0
 
-    miner = TANE(max_lhs_size=max_lhs_size)
+    miner = algorithm if algorithm is not None else TANE()
     result = miner.discover(reduced, usable)
 
     new_fds: list[FD] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..discovery.base import FDDiscoveryAlgorithm
 from ..fd.fd import FD
 from ..relational.algebra import select
 from ..relational.predicates import Predicate
@@ -39,7 +40,7 @@ def selection_fds(
     known_fds: Iterable[FD],
     attributes: Sequence[str],
     subquery: str,
-    max_lhs_size: int | None = None,
+    algorithm: FDDiscoveryAlgorithm | None = None,
 ) -> SelectionOutcome:
     """Apply a selection and mine its upstaged FDs (Algorithm 2).
 
@@ -52,21 +53,20 @@ def selection_fds(
         The selection condition ``ρ``.
     known_fds:
         FDs known to hold on the input; they keep holding on the selection
-        (Theorem 1), prune the candidate lattice, and are excluded from the
-        reported upstaged FDs.
+        (Theorem 1), so they are excluded from the reported upstaged FDs.
     attributes:
         The projected attribute set ``AV`` to restrict the mining to.
     subquery:
         The sub-query string recorded in the provenance triples.
-    max_lhs_size:
-        Optional cap on the explored LHS size.
+    algorithm:
+        The discovery algorithm that mines the selection (default: TANE).
     """
     selected = select(child_instance, predicate, name=subquery)
     # Line #4 of Algorithm 2: skip the mining entirely when nothing was filtered.
     if len(selected) >= len(child_instance):
         return SelectionOutcome(selected, [], 0, filtered=False)
 
-    new_fds, checked = mine_new_fds(selected, attributes, known_fds, max_lhs_size)
+    new_fds, checked = mine_new_fds(selected, attributes, known_fds, algorithm)
     triples = [
         ProvenanceTriple(dependency, FDType.UPSTAGED_SELECTION, subquery)
         for dependency in sorted(new_fds, key=FD.sort_key)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from ..discovery.base import FDDiscoveryAlgorithm
 from ..fd.fd import FD
 from ..relational.algebra import JoinKind, equi_join
 from ..relational.relation import Relation
@@ -69,7 +70,7 @@ def join_upstaged_fds(
     right_known_fds: Iterable[FD],
     attributes: Sequence[str],
     subquery: str,
-    max_lhs_size: int | None = None,
+    algorithm: FDDiscoveryAlgorithm | None = None,
 ) -> JoinUpstageOutcome:
     """Mine the upstaged FDs of a join node (Algorithm 3).
 
@@ -82,13 +83,13 @@ def join_upstaged_fds(
     kind:
         The join operator; it determines which sides can be reduced.
     left_known_fds, right_known_fds:
-        FDs known to hold on each input (used for pruning and exclusion).
+        FDs known to hold on each input, excluded from the upstaged FDs.
     attributes:
         The projected attribute set ``AV``.
     subquery:
         The sub-query string recorded in the provenance triples.
-    max_lhs_size:
-        Optional cap on the explored LHS size.
+    algorithm:
+        The discovery algorithm that mines the reduced inputs (default: TANE).
     """
     outcome = JoinUpstageOutcome()
     reduced_sides = REDUCED_SIDES[kind]
@@ -100,7 +101,7 @@ def join_upstaged_fds(
         )
         if len(reduced) < len(left_instance):
             outcome.reduced_left = reduced
-            new_fds, checked = mine_new_fds(reduced, attributes, left_known_fds, max_lhs_size)
+            new_fds, checked = mine_new_fds(reduced, attributes, left_known_fds, algorithm)
             outcome.candidates_checked += checked
             outcome.left_fds = sorted(new_fds, key=FD.sort_key)
             outcome.triples.extend(
@@ -115,7 +116,7 @@ def join_upstaged_fds(
         )
         if len(reduced) < len(right_instance):
             outcome.reduced_right = reduced
-            new_fds, checked = mine_new_fds(reduced, attributes, right_known_fds, max_lhs_size)
+            new_fds, checked = mine_new_fds(reduced, attributes, right_known_fds, algorithm)
             outcome.candidates_checked += checked
             outcome.right_fds = sorted(new_fds, key=FD.sort_key)
             outcome.triples.extend(

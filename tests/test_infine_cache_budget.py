@@ -1,11 +1,11 @@
 """InFine's join mining honours the engine's partition-cache budget.
 
-``mine_join_fds`` builds the partition cache of its partial join through
+The engine builds the partition cache of each join node through
 ``make_partition_cache``, like every other algorithm-owned cache, so
 ``EngineConfig.partition_cache_max_positions`` bounds it (unbounded by
 default).  A budget only trades memory for recomputation: the FD set and the
-artefacts never depend on it.  The closures the mining consults are memoised
-per join node; the pinned mining counters below show that no verdict moved.
+artefacts never depend on it.  The pinned mining counters and triples below
+record how much of one view's lattice ``mine_join_fds`` validates on data.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from repro.datasets import load_all, paper_views
 from repro.fd.fd import FD
 from repro.infine.joinfd import mine_join_fds
 from repro.relational import Relation
-from repro.relational.algebra import JoinKind
+from repro.relational.algebra import JoinKind, equi_join
+from repro.relational.partition import make_partition_cache
 from repro.session import Session
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -66,9 +67,12 @@ def test_join_mining_cache_follows_the_session_budget():
     outcomes = {}
     for budget in (0, None):
         with Session(partition_cache_max_positions=budget) as session:
+            joined = equi_join(left, right, ["k"], ["k"])
             outcomes[budget] = mine_join_fds(
-                left,
-                right,
+                joined,
+                make_partition_cache(joined),
+                left.attribute_names,
+                right.attribute_names,
                 ["k"],
                 ["k"],
                 JoinKind.INNER,
@@ -86,7 +90,7 @@ def test_join_mining_cache_follows_the_session_budget():
 
 
 def test_mining_counters_are_pinned(small_catalogs, monkeypatch):
-    """Counters and triples of one mid-size view, as before memoisation."""
+    """Counters and triples of one mid-size view."""
     engine = importlib.import_module("repro.infine.engine")
     outcomes = []
 
@@ -99,7 +103,7 @@ def test_mining_counters_are_pinned(small_catalogs, monkeypatch):
     case = next(case for case in paper_views() if case.key == "mimic3/diagnoses_patients_dicd")
     Session().infine(case.spec, small_catalogs[case.database])
     counters = [(o.candidates_validated, o.candidates_pruned_logically) for o in outcomes]
-    assert counters == [(182, 93), (158, 6)]
+    assert counters == [(105, 21), (54, 6)]
     triples = [
         (sorted(t.dependency.lhs), t.dependency.rhs, t.fd_type.value, t.subquery)
         for o in outcomes

@@ -14,9 +14,29 @@ from repro.infine import (
     mine_new_fds,
     selection_fds,
 )
-from repro.relational.algebra import JoinKind
+from repro.relational.algebra import JoinKind, equi_join
+from repro.relational.partition import make_partition_cache
 from repro.relational.predicates import eq, ne
 from repro.relational.relation import Relation
+
+
+def _node_join(left, right, left_on, right_on, kind):
+    """The join of one node and its partition cache, as the engine builds them."""
+    joined = equi_join(left, right, left_on, right_on, kind=kind)
+    return joined, make_partition_cache(joined)
+
+
+def infer(left, right, left_on, right_on, kind, *args, **kwargs):
+    joined, cache = _node_join(left, right, left_on, right_on, kind)
+    return infer_join_fds(joined, cache, left_on, right_on, kind, *args, **kwargs)
+
+
+def mine(left, right, left_on, right_on, kind, *args, **kwargs):
+    joined, cache = _node_join(left, right, left_on, right_on, kind)
+    return mine_join_fds(
+        joined, cache, left.attribute_names, right.attribute_names,
+        left_on, right_on, kind, *args, **kwargs,
+    )
 
 
 class TestProvenance:
@@ -186,9 +206,9 @@ class TestInferFDs:
     def test_transitive_inference_through_join(self):
         left = Relation("L", ("k", "city"), [(1, "lyon"), (2, "paris")])
         right = Relation("R", ("k", "country"), [(1, "fr"), (2, "fr")])
-        outcome = infer_join_fds(left, right, ["k"], ["k"], JoinKind.INNER,
-                                 [fd("city", "k")], [fd("k", "country")],
-                                 [fd("city", "k"), fd("k", "country")], "J")
+        outcome = infer(left, right, ["k"], ["k"], JoinKind.INNER,
+                        [fd("city", "k")], [fd("k", "country")],
+                        [fd("city", "k"), fd("k", "country")], "J")
         assert fd("city", "country") in outcome.fds
         assert all(t.fd_type is FDType.INFERRED for t in outcome.triples)
 
@@ -196,34 +216,34 @@ class TestInferFDs:
         # (a, b) -> k logically, but on the data `a` alone determines k.
         left = Relation("L", ("k", "a", "b"), [(1, "x", 1), (2, "y", 1), (3, "z", 2)])
         right = Relation("R", ("k", "c"), [(1, "p"), (2, "q"), (3, "r")])
-        outcome = infer_join_fds(left, right, ["k"], ["k"], JoinKind.INNER,
-                                 [fd(("a", "b"), "k")], [fd("k", "c")],
-                                 [fd(("a", "b"), "k"), fd("k", "c")], "J")
+        outcome = infer(left, right, ["k"], ["k"], JoinKind.INNER,
+                        [fd(("a", "b"), "k")], [fd("k", "c")],
+                        [fd(("a", "b"), "k"), fd("k", "c")], "J")
         assert fd("a", "c") in outcome.fds
         assert fd(("a", "b"), "c") not in outcome.fds
 
     def test_refinement_can_be_disabled(self):
         left = Relation("L", ("k", "a", "b"), [(1, "x", 1), (2, "y", 1), (3, "z", 2)])
         right = Relation("R", ("k", "c"), [(1, "p"), (2, "q"), (3, "r")])
-        outcome = infer_join_fds(left, right, ["k"], ["k"], JoinKind.INNER,
-                                 [fd(("a", "b"), "k")], [fd("k", "c")],
-                                 [fd(("a", "b"), "k"), fd("k", "c")], "J",
-                                 refine_with_data=False)
+        outcome = infer(left, right, ["k"], ["k"], JoinKind.INNER,
+                        [fd(("a", "b"), "k")], [fd("k", "c")],
+                        [fd(("a", "b"), "k"), fd("k", "c")], "J",
+                        refine_with_data=False)
         assert fd(("a", "b"), "c") in outcome.fds
 
     def test_inferred_fds_implied_by_known_are_dropped(self):
         left = Relation("L", ("k", "a"), [(1, "x")])
         right = Relation("R", ("k", "b"), [(1, "y")])
         known = [fd("a", "k"), fd("k", "b"), fd("a", "b")]
-        outcome = infer_join_fds(left, right, ["k"], ["k"], JoinKind.INNER,
-                                 [fd("a", "k")], [fd("k", "b")], known, "J")
+        outcome = infer(left, right, ["k"], ["k"], JoinKind.INNER,
+                        [fd("a", "k")], [fd("k", "b")], known, "J")
         assert fd("a", "b") not in outcome.fds
 
     def test_join_attribute_equality_fds_for_different_names(self):
         left = Relation("L", ("lk", "a"), [(1, "x"), (2, "y")])
         right = Relation("R", ("rk", "b"), [(1, "p"), (2, "q")])
-        outcome = infer_join_fds(left, right, ["lk"], ["rk"], JoinKind.INNER,
-                                 [], [], [], "J")
+        outcome = infer(left, right, ["lk"], ["rk"], JoinKind.INNER,
+                        [], [], [], "J")
         assert fd("lk", "rk") in outcome.fds
         assert fd("rk", "lk") in outcome.fds
 
@@ -237,38 +257,37 @@ class TestMineJoinFDs:
                           (3, "a", "private"), (4, "b", "selfpay")])
         left_fds = [fd("k", "gender")]
         right_fds = [fd("k", "plan"), fd("k", "insurance"), fd(("k", "plan"), "insurance")]
-        outcome = mine_join_fds(left, right, ["k"], ["k"], JoinKind.INNER,
-                                left_fds, right_fds, left_fds + right_fds,
-                                ("k", "gender", "plan", "insurance"), "J")
+        outcome = mine(left, right, ["k"], ["k"], JoinKind.INNER,
+                       left_fds, right_fds, left_fds + right_fds,
+                       ("k", "gender", "plan", "insurance"), "J")
         assert fd(("gender", "plan"), "insurance") in outcome.fds
-        assert outcome.join_materialised
         assert outcome.candidates_validated > 0
 
     def test_semi_join_produces_nothing(self):
         left = Relation("L", ("k", "a"), [(1, "x")])
         right = Relation("R", ("k", "b"), [(1, "y")])
-        outcome = mine_join_fds(left, right, ["k"], ["k"], JoinKind.LEFT_SEMI,
-                                [], [], [], ("k", "a"), "J")
+        outcome = mine(left, right, ["k"], ["k"], JoinKind.LEFT_SEMI,
+                       [], [], [], ("k", "a"), "J")
         assert outcome.fds == []
-        assert not outcome.join_materialised
+        assert outcome.candidates_validated == 0
 
     def test_no_candidates_means_no_join_materialisation(self):
         # Right side has only the join attribute: no cross FDs are possible.
         left = Relation("L", ("k", "a"), [(1, "x"), (2, "y")])
         right = Relation("R", ("k",), [(1,), (2,)])
-        outcome = mine_join_fds(left, right, ["k"], ["k"], JoinKind.INNER,
-                                [fd("a", "k"), fd("k", "a")], [], [fd("a", "k"), fd("k", "a")],
-                                ("k", "a"), "J")
-        assert not outcome.join_materialised
+        outcome = mine(left, right, ["k"], ["k"], JoinKind.INNER,
+                       [fd("a", "k"), fd("k", "a")], [], [fd("a", "k"), fd("k", "a")],
+                       ("k", "a"), "J")
+        assert outcome.candidates_validated == 0
         assert outcome.fds == []
 
     def test_dominated_candidates_are_not_reported(self):
         left = Relation("L", ("k", "a"), [(1, "x"), (2, "y")])
         right = Relation("R", ("k", "b"), [(1, "p"), (2, "q")])
         known = [fd("k", "a"), fd("a", "k"), fd("k", "b"), fd("b", "k")]
-        outcome = mine_join_fds(left, right, ["k"], ["k"], JoinKind.INNER,
-                                [fd("k", "a"), fd("a", "k")], [fd("k", "b"), fd("b", "k")],
-                                known, ("k", "a", "b"), "J")
+        outcome = mine(left, right, ["k"], ["k"], JoinKind.INNER,
+                       [fd("k", "a"), fd("a", "k")], [fd("k", "b"), fd("b", "k")],
+                       known, ("k", "a", "b"), "J")
         for dependency in outcome.fds:
             assert not any(
                 other.rhs == dependency.rhs and other.lhs < dependency.lhs
@@ -282,7 +301,7 @@ class TestMineJoinFDs:
         args = (left, right, ["k"], ["k"], JoinKind.INNER,
                 [fd("k", "g")], [fd("k", "p"), fd("k", "i")],
                 [fd("k", "g"), fd("k", "p"), fd("k", "i")], ("k", "g", "p", "i"), "J")
-        with_pruning = mine_join_fds(*args, use_theorem4=True)
-        without_pruning = mine_join_fds(*args, use_theorem4=False)
+        with_pruning = mine(*args, use_theorem4=True)
+        without_pruning = mine(*args, use_theorem4=False)
         assert set(with_pruning.fds) == set(without_pruning.fds)
         assert with_pruning.candidates_validated <= without_pruning.candidates_validated

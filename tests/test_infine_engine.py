@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import load_all, paper_views
 from repro.discovery import TANE
 from repro.fd import FD, fd
 from repro.infine import FDType, InFine, StraightforwardPipeline
@@ -13,6 +14,7 @@ from repro.relational.algebra import JoinKind
 from repro.relational.predicates import eq, gt, ne
 from repro.relational.relation import Relation
 from repro.relational.view import base, join, proj, sel
+from repro.session import Session
 
 
 class TestRunningExample:
@@ -34,6 +36,22 @@ class TestRunningExample:
         triple = result.provenance.triple_for(fd("expire_flag", "dod"))
         assert triple is not None
         assert triple.fd_type is FDType.UPSTAGED_LEFT
+
+    def test_upstaging_mines_with_the_engine_algorithm(self, clinical_catalog, monkeypatch):
+        view = join(base("patient"), base("admission"), on="subject_id")
+        default = Session().infine(view, clinical_catalog)
+        built = []
+        original_init = TANE.__init__
+
+        def recording_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TANE, "__init__", recording_init)
+        with_fun = Session().infine(view, clinical_catalog, algorithm="fun")
+        assert built == []
+        assert set(with_fun.fds) == set(default.fds)
+        assert fd("expire_flag", "dod") in set(with_fun.fds)
 
     def test_inferred_fd_diagnosis_to_dob_style(self, clinical_catalog):
         view = join(base("patient"), base("admission"), on="subject_id")
@@ -233,3 +251,75 @@ def test_property_infine_equals_full_view_discovery(left_rows, right_rows, selec
     infine = InFine().run(view, catalog)
     reference = StraightforwardPipeline("tane").run(view, catalog, with_provenance=False)
     assert set(infine.fds.as_set()) == set(reference.fds.as_set())
+
+
+#: ``artifact_fingerprint()`` of every paper view at small scale, seed 7.
+#: Neither the Theorem 4 ablation nor any change to how InFine mines may
+#: move them: the FD set, the provenance triples and their order are fixed.
+PAPER_VIEW_FINGERPRINTS = {
+    "mimic3/diagnoses_patients": (
+        "c87ce65330d411ae81c5a15b957cf2d822fa9745b8eb81ee0b40d29c79c6f120"
+    ),
+    "mimic3/diagnoses_patients_dicd": (
+        "94edb4f716360ee0f25ac00e6753723bb9c3941ca233f6fcd5c5f70258784bfa"
+    ),
+    "mimic3/dicd_diagnoses": (
+        "bb54d16d3a35e8582a76e3f354e9c15d5f571657a528e407ae0d660e02db70f8"
+    ),
+    "mimic3/patients_admissions": (
+        "f6ac41781510da993ce13f78b33d026b31f7f73df825e9e4e22c5623bb1d65bd"
+    ),
+    "ptc/atom_molecule": (
+        "02c4cec8abb630600757aa19287c206b93bc8a7484a6169c9d3926c91db99e14"
+    ),
+    "ptc/connected_atom_molecule": (
+        "13061b3dae7f7cd6f266dcbfaa9f6d9c6a9cb3b0ebf312f5ecc145042332c7b3"
+    ),
+    "ptc/connected_bond": (
+        "2b756424d06ed793fa6b44a1f5dbe81230799f900760e79b7773cbcdcfe3900b"
+    ),
+    "ptc/connected_bond_molecule": (
+        "eeda25329b7f5dc334e2feb1c7e6bb08c20aa7b02ec79322f0513dc216bbab7b"
+    ),
+    "pte/active_drug": (
+        "4e414f51dda2d31e9c1314da30485808d9eb6d168d134ff7fad7970e656037ca"
+    ),
+    "pte/atm_bond_atm_drug": (
+        "c7490b594ed7509f661dd48115e0eef737b6df631d2b957b8dd2cdc175579f47"
+    ),
+    "pte/atm_drug": (
+        "b3881f50b899cea7b6dc2d05a9e591b320fcd697341edb13fc4aa79a667751be"
+    ),
+    "pte/bond_drug_active": (
+        "15655448ac43d841cd810511fc023770fb02bf4f7fa5c7706f6a8126e95343c4"
+    ),
+    "tpch/q11": (
+        "c56b6f702e5cbebe642037c91ff38b8e5dd4841a8caecc36716b80d9e82ced49"
+    ),
+    "tpch/q2": (
+        "55dbdfb408d389d6c214f0e1fde13204d2c29853d985ba6a2d8a167459e41e6c"
+    ),
+    "tpch/q3": (
+        "949502c1b817e91d8e272098bdf6bcc1abf629b6ecf889df500537973fff04d2"
+    ),
+    "tpch/q9": (
+        "3619ad857577aa69eb88d775757f4d25916c791671894a593e524f2c832783e0"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def small_catalogs():
+    return load_all("small", 7)
+
+
+@pytest.mark.parametrize("use_theorem4", [True, False])
+def test_paper_view_fingerprints_are_pinned(small_catalogs, use_theorem4):
+    session = Session()
+    observed = {
+        case.key: session.infine(
+            case.spec, small_catalogs[case.database], use_theorem4=use_theorem4
+        ).artifact_fingerprint()
+        for case in paper_views()
+    }
+    assert observed == PAPER_VIEW_FINGERPRINTS
